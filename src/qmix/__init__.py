@@ -88,7 +88,6 @@ from .combine import (
     z_from_q,
 )
 from .linkage import (
-    LinkageConfig,
     LinkageSpec,
     b0,
     config_deltas,
@@ -121,7 +120,7 @@ __all__ = [
     "pdelta_from_q", "q_from_pdelta", "q_from_z", "random_qtriple",
     "random_s3_phases", "s3_coeffs_from_phases", "third_order_reduce",
     "verify_real_imag_param", "z_from_q",
-    "LinkageConfig", "LinkageSpec", "b0", "config_deltas", "grashof",
+    "LinkageSpec", "b0", "config_deltas", "grashof",
     "orbit_count", "orbit_count_bruteforce", "orbit_trace", "solve_configs",
     "write_orbit_csv",
     "__version__",

@@ -22,17 +22,13 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 from ._serial import dumps
 from .combine import (
-    CoefficientSumNonzero,
-    DegenerateOuterWeight,
-    DegenerateWeight,
     GaugeViolation,
-    NonUnitaryCoefficients,
-    NotNested,
     PDelta,
     QTriple,
     S3Coeffs,
@@ -46,24 +42,20 @@ from .combine import (
     s3_coeffs_from_phases,
     z_from_q,
 )
-from .groups import regular_lincomb, symmetric_group
+from .groups import regular_lincomb
 from .irreps import (
     BlockUnitaries,
-    NonUnitaryBlock,
     extract_blocks,
     flat_unitary_search,
     irreps_cyclic,
     irreps_s3,
+    s3_phase_blocks,
     synthesize_coeffs,
 )
 from .linkage import LinkageSpec, orbit_trace, write_orbit_csv
 from .states import DensityMatrix, bloch_vector, entropy, get_functional, random_density
 
 FORMAT_TAG = "qmix/1"
-
-_DOMAIN_ERRORS = (NonUnitaryBlock, NonUnitaryCoefficients, GaugeViolation,
-                  DegenerateWeight, DegenerateOuterWeight, NotNested,
-                  CoefficientSumNonzero)
 
 
 class CliError(Exception):
@@ -84,13 +76,43 @@ def _load_json(path: str):
         raise CliError(2, f"{path} is not valid JSON: {exc}") from exc
 
 
+@contextmanager
+def _writing(path: str):
+    """Scope that writes an --out path; failing to write it is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(2, f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc: dict, out: str | None) -> None:
     text = dumps(doc)
     if out:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _real(value, what: str) -> float | int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(2, f"{what} must be a number")
+    return value
+
+
+def _s3_phases(ph) -> tuple:
+    """(phi1, phi2, a, c) from {"phi1": f, "phi2": f, "a": [re, im], "c": [re, im]}."""
+    if not isinstance(ph, dict):
+        raise CliError(2, "'phases' must be an object with phi1, phi2, a and c")
+
+    def pair(key: str) -> complex:
+        v = ph.get(key)
+        if not isinstance(v, list) or len(v) != 2:
+            raise CliError(2, f"phases {key!r} must be a [re, im] pair")
+        return _real(v[0], f"phases {key!r}") + 1j * _real(v[1], f"phases {key!r}")
+
+    return (_real(ph.get("phi1"), "phases 'phi1'"), _real(ph.get("phi2"), "phases 'phi2'"),
+            pair("a"), pair("c"))
 
 
 def _wrap(command: str, report: dict, elapsed: float) -> dict:
@@ -137,13 +159,7 @@ def _blocks_from_config(cfg: dict, irreps) -> BlockUnitaries:
     if "phases" in cfg:
         ph = cfg["phases"]
         if cfg["group"] == "s3":
-            a = ph["a"][0] + 1j * ph["a"][1]
-            c = ph["c"][0] + 1j * ph["c"][1]
-            two = np.array([[a, c], [-np.conj(c), np.conj(a)]])
-            return BlockUnitaries(
-                (np.array([[np.exp(1j * ph["phi1"])]]),
-                 np.array([[np.exp(1j * ph["phi2"])]]), two),
-                tuple(r.label for r in irreps))
+            return s3_phase_blocks(*_s3_phases(ph))
         mats = tuple(np.array([[np.exp(1j * t)]]) for t in ph)
         if len(mats) != len(irreps.irreps):
             raise CliError(2, "need one phase per character")
@@ -184,7 +200,9 @@ def _cmd_synth(args) -> int:
 
 def _states_from_file(path: str) -> list[DensityMatrix]:
     doc = _load_json(path)
-    rows = doc["states"] if isinstance(doc, dict) else doc
+    rows = doc.get("states") if isinstance(doc, dict) else doc
+    if not isinstance(rows, list):
+        raise CliError(2, f"{path} must hold a list of states or {{\"states\": [...]}}")
     try:
         states = [DensityMatrix.from_json(m) for m in rows]
     except (ValueError, TypeError) as exc:
@@ -207,10 +225,7 @@ def _ternary_params(doc: dict) -> tuple[QTriple | None, S3Coeffs]:
     if "z" in doc:
         z = S3Coeffs.from_json(doc["z"])
     elif "phases" in doc:
-        ph = doc["phases"]
-        z = s3_coeffs_from_phases(ph["phi1"], ph["phi2"],
-                                  ph["a"][0] + 1j * ph["a"][1],
-                                  ph["c"][0] + 1j * ph["c"][1])
+        z = s3_coeffs_from_phases(*_s3_phases(doc["phases"]))
     else:
         raise CliError(2, "params file needs 'q', 'p'+'deltas', 'z', or 'phases'")
     try:
@@ -229,8 +244,11 @@ def _cmd_combine(args) -> int:
     if len(states) == 2:
         if "lambda" not in params:
             raise CliError(2, "binary combination needs a 'lambda' parameter")
-        lam = float(params["lambda"])
-        sign = int(params.get("sign", +1))
+        lam = float(_real(params["lambda"], "'lambda'"))
+        sign = params.get("sign", +1)
+        if isinstance(sign, bool) or sign not in (+1, -1):
+            raise CliError(2, "'sign' must be +1 or -1")
+        sign = int(sign)
         out = combine2(states[0], states[1], lam, sign)
         mode_info = {"lambda": lam, "sign": sign}
         verify_diff = None
@@ -287,25 +305,6 @@ def _cmd_combine(args) -> int:
 # orbit
 
 
-_MUB_STATES = None
-
-
-def _mub_states() -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
-    global _MUB_STATES
-    if _MUB_STATES is None:
-        _MUB_STATES = (DensityMatrix.from_bloch(1, 0, 0),
-                       DensityMatrix.from_bloch(0, 1, 0),
-                       DensityMatrix.from_bloch(0, 0, 1))
-    return _MUB_STATES
-
-
-def _mub_columns(cfg) -> dict:
-    rhos = _mub_states()
-    q = QTriple(cfg.q1, cfg.q2, cfg.q3)
-    x, y, z = bloch_vector(combine3_closed(*rhos, q))
-    return {"bloch_x": x, "bloch_y": y, "bloch_z": z}
-
-
 def _cmd_orbit(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_json(args.config)
@@ -319,25 +318,22 @@ def _cmd_orbit(args) -> int:
         orbits = orbit_trace(spec, args.steps, assignment)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
-    extra = _mub_columns if args.mub else None
-    write_orbit_csv(orbits, args.out, extra=extra)
-    rows = sum(len(o) for o in orbits)
-    flagged = 0
-    for orbit in orbits:
-        for c in orbit:
-            qs = c.as_array()
-            if np.abs(qs).min() < 1e-12:
-                continue
-            ph = np.angle(qs)
-            deltas = np.array([ph[0] - ph[1], ph[1] - ph[2], ph[2] - ph[0]])
-            if np.abs(np.cos(deltas)).min() < 1e-9:
-                flagged += 1
+    extra = None
+    if args.mub:
+        rhos = (DensityMatrix.from_bloch(1, 0, 0), DensityMatrix.from_bloch(0, 1, 0),
+                DensityMatrix.from_bloch(0, 0, 1))
+
+        def extra(q: QTriple) -> dict:
+            x, y, z = bloch_vector(combine3_closed(*rhos, q))
+            return {"bloch_x": x, "bloch_y": y, "bloch_z": z}
+    with _writing(args.out):
+        flagged = write_orbit_csv(orbits, args.out, extra=extra)
     report = {
         "weights": [float(v) for v in cfg["p"]],
         "lengths": list(spec.lengths()),
         "steps": args.steps,
         "orbits": len(orbits),
-        "rows": rows,
+        "rows": sum(len(o) for o in orbits),
         "nested_rows": flagged,
         "csv": args.out,
         "mub_columns": bool(args.mub),
@@ -350,22 +346,30 @@ def _cmd_orbit(args) -> int:
 # epi-scan
 
 
-def _scan_sample(n: int, d: int, fname: str, seed: int, index: int) -> float:
-    """Gap of one sample; everything derives from SeedSequence((seed, index))."""
-    f = get_functional(fname)
+def _draw(n: int, d: int, seed: int, index: int):
+    """States and parameters of one sample, all from SeedSequence((seed, index)).
+
+    Returns (states, (lam, sign)) for n = 2 and (states, q) for n = 3.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+    states = [random_density(d, seed=rng) for _ in range(n)]
     if n == 2:
-        rho = random_density(d, seed=rng)
-        sigma = random_density(d, seed=rng)
         lam = float(rng.uniform())
         sign = +1 if rng.integers(2) == 0 else -1
-        out = combine2(rho, sigma, lam, sign)
-        return entropy(f, out) - (lam * entropy(f, rho) + (1 - lam) * entropy(f, sigma))
-    rhos = [random_density(d, seed=rng) for _ in range(3)]
-    q = random_qtriple(rng)
-    out = combine3_closed(rhos[0], rhos[1], rhos[2], q)
-    mix = sum(w * entropy(f, r) for w, r in zip(q.weights(), rhos))
-    return entropy(f, out) - mix
+        return states, (lam, sign)
+    return states, random_qtriple(rng)
+
+
+def _scan_sample(n: int, d: int, fname: str, seed: int, index: int) -> float:
+    """Concavity gap of one sample: entropy of the mix minus the weighted entropies."""
+    f = get_functional(fname)
+    states, params = _draw(n, d, seed, index)
+    if n == 2:
+        lam, sign = params
+        out, weights = combine2(*states, lam, sign), (lam, 1 - lam)
+    else:
+        out, weights = combine3_closed(*states, params), params.weights()
+    return entropy(f, out) - sum(w * entropy(f, r) for w, r in zip(weights, states))
 
 
 def _scan_range(packed) -> tuple[float, int, int]:
@@ -380,23 +384,15 @@ def _scan_range(packed) -> tuple[float, int, int]:
     return best, best_idx, neg
 
 
-def _sample_detail(n: int, d: int, fname: str, seed: int, index: int) -> dict:
+def _sample_detail(n: int, d: int, seed: int, index: int) -> dict:
     """Reproduction record for one sample (used for argmin and counterexamples)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    detail: dict = {"sample_index": index, "seed_path": [seed, index]}
+    states, params = _draw(n, d, seed, index)
+    detail: dict = {"sample_index": index, "seed_path": [seed, index],
+                    "states": [_mat_json(r.mat) for r in states]}
     if n == 2:
-        rho = random_density(d, seed=rng)
-        sigma = random_density(d, seed=rng)
-        lam = float(rng.uniform())
-        sign = +1 if rng.integers(2) == 0 else -1
-        detail["states"] = [_mat_json(rho.mat), _mat_json(sigma.mat)]
-        detail["lambda"] = lam
-        detail["sign"] = sign
+        detail["lambda"], detail["sign"] = params
     else:
-        rhos = [random_density(d, seed=rng) for _ in range(3)]
-        q = random_qtriple(rng)
-        detail["states"] = [_mat_json(r.mat) for r in rhos]
-        detail["q"] = q.to_json()
+        detail["q"] = params.to_json()
     return detail
 
 
@@ -425,6 +421,7 @@ def _cmd_epi_scan(args) -> int:
     recomputed = _scan_sample(args.n, args.d, args.functional, args.seed, argmin)
     if recomputed != min_gap:
         raise CliError(4, "argmin sample failed to reproduce from its seed")
+    detail = _sample_detail(args.n, args.d, args.seed, argmin)
     report = {
         "n": args.n,
         "d": args.d,
@@ -433,12 +430,11 @@ def _cmd_epi_scan(args) -> int:
         "seed": args.seed,
         "min_gap": float(min_gap),
         "negative_samples": int(negatives),
-        "argmin": _sample_detail(args.n, args.d, args.functional, args.seed, argmin),
+        "argmin": detail,
         "asserted": args.n == 2,
     }
     if args.n == 3 and min_gap < -1e-6:
-        report["counterexample"] = _sample_detail(args.n, args.d, args.functional,
-                                                  args.seed, argmin)
+        report["counterexample"] = detail
     _emit(_wrap("epi-scan", report, time.perf_counter() - t0), args.out)
     if args.n == 2 and min_gap < -1e-9:
         raise CliError(4, f"two-state concavity gap went negative: {min_gap:.3e}")
@@ -534,9 +530,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"qmix: {exc}", file=sys.stderr)
         return exc.code
-    except _DOMAIN_ERRORS as exc:
-        print(f"qmix: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"qmix: {exc}", file=sys.stderr)
         return 3

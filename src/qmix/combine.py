@@ -58,6 +58,8 @@ __all__ = [
     "verify_real_imag_param",
     "random_qtriple",
     "random_s3_phases",
+    "wrap_angle",
+    "cos_vanishes",
 ]
 
 _CONSTRAINT_TOL = 1e-10
@@ -165,8 +167,7 @@ class PDelta:
         if (p < -1e-15).any() or abs(p.sum() - 1) > _CONSTRAINT_TOL:
             raise ValueError("weights must be nonnegative and sum to 1")
         d = np.asarray(self.deltas, dtype=float)
-        wrap = (d.sum() + np.pi) % (2 * np.pi) - np.pi
-        if abs(wrap) > _CONSTRAINT_TOL:
+        if abs(wrap_angle(d.sum())) > _CONSTRAINT_TOL:
             raise ValueError(f"delta sum {d.sum():.12g} is not 0 mod 2*pi")
         r = np.sqrt(np.maximum(p, 0.0))
         cos_sum = (r[0] * r[1] * np.cos(d[0]) + r[1] * r[2] * np.cos(d[1])
@@ -392,19 +393,8 @@ def combine3_closed(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatri
 
 def combine3_pdelta(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
                     pd: PDelta) -> DensityMatrix:
-    """Ternary channel straight from the (p, delta) form, bypassing q."""
-    r1, r2, r3 = _mats(rho1, rho2, rho3)
-    p1, p2, p3 = pd.p
-    d12, d23, d31 = pd.deltas
-    s12, s23, s31 = np.sqrt(p1 * p2), np.sqrt(p2 * p3), np.sqrt(p3 * p1)
-    out = p1 * r1 + p2 * r2 + p3 * r3
-    out = out + s12 * np.sin(d12) * 1j * commutator(r1, r2) \
-              + s23 * np.sin(d23) * 1j * commutator(r2, r3) \
-              + s31 * np.sin(d31) * 1j * commutator(r3, r1)
-    out = out + s12 * np.cos(d12) * (r2 @ r3 @ r1 + r1 @ r3 @ r2) \
-              + s23 * np.cos(d23) * (r3 @ r1 @ r2 + r2 @ r1 @ r3) \
-              + s31 * np.cos(d31) * (r1 @ r2 @ r3 + r3 @ r2 @ r1)
-    return DensityMatrix(out)
+    """Ternary channel from the (p, delta) form: the closed form at q_from_pdelta(pd)."""
+    return combine3_closed(rho1, rho2, rho3, q_from_pdelta(pd))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +444,18 @@ def z_from_q(q: QTriple) -> S3Coeffs:
     return S3Coeffs(np.concatenate([qa.real.astype(complex), 1j * qa.imag]))
 
 
-def _wrap_angle(x: float) -> float:
-    return float((x + np.pi) % (2 * np.pi) - np.pi)
+def wrap_angle(x):
+    """Angle(s) mapped into [-pi, pi); works elementwise on arrays."""
+    return (x + np.pi) % (2 * np.pi) - np.pi
+
+
+def cos_vanishes(deltas):
+    """Elementwise |cos(delta)| below the nestedness tolerance (False for NaN).
+
+    A (p, delta) point is a nested two-level binary expression exactly when
+    this holds for one of its phase differences.
+    """
+    return np.abs(np.cos(deltas)) < _NESTED_COS_TOL
 
 
 def pdelta_from_q(q: QTriple) -> PDelta:
@@ -469,8 +469,7 @@ def pdelta_from_q(q: QTriple) -> PDelta:
     if p.min() < 1e-15:
         raise DegenerateWeight(p)
     ph = np.angle(qa)
-    deltas = (_wrap_angle(ph[0] - ph[1]), _wrap_angle(ph[1] - ph[2]), _wrap_angle(ph[2] - ph[0]))
-    return PDelta(tuple(p), deltas)
+    return PDelta(tuple(p), tuple(float(d) for d in wrap_angle(ph - ph[[1, 2, 0]])))
 
 
 def q_from_pdelta(pd: PDelta, global_phase: float = 0.0) -> QTriple:
@@ -596,7 +595,7 @@ def delta_from_nested(spec: NestedSpec, p) -> PDelta:
     return PDelta(tuple(p), (d12, d23, d31))
 
 
-def nested_from_delta(pd: PDelta, tol: float = _NESTED_COS_TOL) -> NestedSpec:
+def nested_from_delta(pd: PDelta) -> NestedSpec:
     """Recover the nested expression from a (p, delta) point, if one exists.
 
     A point is nested exactly when some cos(delta_ij) vanishes; the
@@ -607,16 +606,15 @@ def nested_from_delta(pd: PDelta, tol: float = _NESTED_COS_TOL) -> NestedSpec:
     if p.min() <= 1e-15:
         raise DegenerateWeight(p)
     d12, d23, d31 = pd.deltas
-    cosines = {1: np.cos(d23), 2: np.cos(d31), 3: np.cos(d12)}
-    sines_inner = {1: np.sin(d23), 2: np.sin(d31), 3: np.sin(d12)}
-    sines_ca = {1: np.sin(d31), 2: np.sin(d12), 3: np.sin(d23)}
-    for ordering in (1, 2, 3):
-        if abs(cosines[ordering]) < tol:
-            s_prime = 0 if sines_inner[ordering] < 0 else 1
-            s = 0 if sines_ca[ordering] > 0 else 1
+    # ordering k puts state k outside; its inner pair's delta is the one that vanishes
+    for ordering, inner, ca in ((1, d23, d31), (2, d31, d12), (3, d12, d23)):
+        if cos_vanishes(inner):
+            s_prime = 0 if np.sin(inner) < 0 else 1
+            s = 0 if np.sin(ca) > 0 else 1
             a, a_prime = nested_params_for_weights(p, ordering)
             return NestedSpec(ordering, a, a_prime, s, s_prime)
-    raise NotNested(f"no vanishing cosine among {tuple(float(c) for c in cosines.values())}")
+    cosines = tuple(float(np.cos(d)) for d in (d23, d31, d12))
+    raise NotNested(f"no vanishing cosine among {cosines}")
 
 
 def verify_real_imag_param(a1: float, a2: float, a3: float,

@@ -36,6 +36,7 @@ __all__ = [
     "flat_unitary_search",
     "haar_unitary",
     "random_block_unitaries",
+    "s3_phase_blocks",
     "irreps_to_json",
     "irreps_from_json",
 ]
@@ -302,19 +303,25 @@ def random_block_unitaries(irreps: IrrepSet, rng: np.random.Generator) -> BlockU
                           tuple(r.label for r in irreps))
 
 
+def s3_phase_blocks(phi1: float, phi2: float, a: complex, c: complex) -> BlockUnitaries:
+    """S3 blocks (e^{i phi1}, e^{i phi2}, [[a, c], [-conj(c), conj(a)]]) in irreps_s3 order.
+
+    Unitary exactly when |a|^2 + |c|^2 = 1.
+    """
+    return BlockUnitaries((np.array([[np.exp(1j * phi1)]]),
+                           np.array([[np.exp(1j * phi2)]]),
+                           np.array([[a, c], [-np.conj(c), np.conj(a)]])),
+                          ("trivial", "sign", "standard"))
+
+
 def _s3_phase_coeffs(x: np.ndarray, irreps: IrrepSet) -> CoeffVector | None:
     """Coefficients from the 6-real parametrization used by the flat search."""
     phi1, phi2, ar, ai, cr, ci = x
     nrm = np.sqrt(ar * ar + ai * ai + cr * cr + ci * ci)
     if nrm < 1e-12:
         return None
-    a, c = (ar + 1j * ai) / nrm, (cr + 1j * ci) / nrm
-    blocks = BlockUnitaries(
-        (np.array([[np.exp(1j * phi1)]]),
-         np.array([[np.exp(1j * phi2)]]),
-         np.array([[a, c], [-np.conj(c), np.conj(a)]])),
-    )
-    return synthesize_coeffs(blocks, irreps)
+    return synthesize_coeffs(s3_phase_blocks(phi1, phi2, (ar + 1j * ai) / nrm,
+                                             (cr + 1j * ci) / nrm), irreps)
 
 
 def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int,

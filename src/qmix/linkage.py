@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combine import QTriple, cos_vanishes, wrap_angle
+
 __all__ = [
     "LinkageSpec",
-    "LinkageConfig",
     "b0",
     "grashof",
     "orbit_count",
@@ -63,26 +64,6 @@ class LinkageSpec:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class LinkageConfig:
-    """One closed configuration: bar vectors summing to the ground bar."""
-
-    q1: complex
-    q2: complex
-    q3: complex
-
-    def __post_init__(self):
-        total = self.q1 + self.q2 + self.q3
-        if abs(total - 1) > 1e-8:
-            raise ValueError(f"bars do not close: sum = {total}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q1, self.q2, self.q3], dtype=complex)
-
-    def conjugate(self) -> "LinkageConfig":
-        return LinkageConfig(np.conj(self.q1), np.conj(self.q2), np.conj(self.q3))
-
-
 def b0(c: float) -> float:
     """Critical middle length: two orbits exist exactly when b exceeds this."""
     return 0.5 * (1.0 - c + np.sqrt(1.0 + (2.0 - 3.0 * c) * c))
@@ -115,13 +96,16 @@ def _check_assignment(spec: LinkageSpec, assignment) -> tuple[float, float, floa
 
 
 def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0,
-                  tol: float = _TANGENT_TOL) -> list[LinkageConfig]:
+                  tol: float = _TANGENT_TOL) -> list[QTriple]:
     """All configurations with bar 1 at angle theta: 0, 1 (tangent), or 2.
 
     ``assignment`` gives the bar lengths in slot order (defaults to the
     sorted spec order).  Bars 2 and 3 close the chain q2 + q3 = 1 - q1,
     solved as the intersection of two circles; the two generic solutions
-    are mirror images about that chord.
+    are mirror images about that chord.  A tangent solution folds bars 2
+    and 3 onto the chord, which misses sum |q_i|^2 = 1 by up to about
+    ``tol``; QTriple rejects a miss above 1e-10, so a crank angle within
+    a few ``tol`` of a tangency (but not on it) raises ValueError.
     """
     r1, r2, r3 = _check_assignment(spec, assignment)
     q1 = r1 * np.exp(1j * theta)
@@ -129,7 +113,7 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0,
     D = abs(w)
     if D < _ZERO_RADIUS:
         if r2 < tol and r3 < tol:
-            return [LinkageConfig(q1, 0j, 0j)]
+            return [QTriple(q1, 0j, 0j)]
         return []
     outer_gap = (r2 + r3) - D        # < 0: bars cannot reach
     inner_gap = D - abs(r2 - r3)     # < 0: one bar swallows the chord
@@ -139,44 +123,43 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0,
     x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
     if outer_gap < tol or inner_gap < tol:
         q2 = x * u
-        return [LinkageConfig(q1, q2, w - q2)]
+        return [QTriple(q1, q2, w - q2)]
     h = np.sqrt(max(r2 * r2 - x * x, 0.0))
     out = []
     for branch in (+1, -1):
         q2 = (x + 1j * branch * h) * u
-        out.append(LinkageConfig(q1, q2, w - q2))
+        out.append(QTriple(q1, q2, w - q2))
     return out
 
 
-def _config_at(r1: float, r2: float, r3: float, theta: float, branch: int) -> LinkageConfig:
-    """Configuration on a fixed intersection branch (clamps h^2 rounding at tangency)."""
+def _config_at(r1: float, r2: float, r3: float, theta: float, branch: int) -> np.ndarray:
+    """Bars (q1, q2, q3) on a fixed intersection branch (clamps h^2 rounding at tangency)."""
     q1 = r1 * np.exp(1j * theta)
     w = 1.0 - q1
     D = abs(w)
     x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
     h = np.sqrt(max(r2 * r2 - x * x, 0.0))
     q2 = (x + 1j * branch * h) * (w / D)
-    return LinkageConfig(q1, q2, w - q2)
+    return np.array([q1, q2, w - q2])
 
 
-def config_deltas(cfg: LinkageConfig) -> tuple[float, float, float]:
+def config_deltas(cfg: QTriple) -> tuple[float, float, float]:
     """Phase differences (d12, d23, d31) of a configuration; NaN on zero bars."""
     q = cfg.as_array()
     if np.abs(q).min() < _ZERO_RADIUS:
         return (float("nan"),) * 3
     ph = np.angle(q)
-    wrap = lambda x: float((x + np.pi) % (2 * np.pi) - np.pi)
-    return (wrap(ph[0] - ph[1]), wrap(ph[1] - ph[2]), wrap(ph[2] - ph[0]))
+    return tuple(float(d) for d in wrap_angle(ph - ph[[1, 2, 0]]))
 
 
-def _degenerate_orbits(r1, r2, r3) -> list[list[LinkageConfig]]:
+def _degenerate_orbits(r1, r2, r3) -> list[list[QTriple]]:
     """Point orbits when some bar has zero length."""
     zero = [r < _ZERO_RADIUS for r in (r1, r2, r3)]
     if sum(zero) >= 2:
         # two zero bars force the third to span the ground bar exactly
         q = [0j, 0j, 0j]
-        q[zero.index(False)] = 1.0 + 0j if not all(zero) else 0j
-        return [[LinkageConfig(*q)]]
+        q[zero.index(False)] = 1.0 + 0j
+        return [[QTriple(*q)]]
     if zero[0]:
         spec = LinkageSpec(*np.sort([r1, r2, r3]))
         return [[c] for c in solve_configs(spec, (r1, r2, r3), 0.0)]
@@ -192,18 +175,30 @@ def _degenerate_orbits(r1, r2, r3) -> list[list[LinkageConfig]]:
     for th in angles:
         q1 = r1 * np.exp(1j * th)
         rest = 1.0 - q1
-        cfg = LinkageConfig(q1, 0j, rest) if zero[1] else LinkageConfig(q1, rest, 0j)
-        orbits.append([cfg])
+        orbits.append([QTriple(q1, 0j, rest) if zero[1] else QTriple(q1, rest, 0j)])
     return orbits
 
 
-def _bar_angle_gap(c1: LinkageConfig, c2: LinkageConfig) -> float:
-    a1, a2 = np.angle(c1.as_array()), np.angle(c2.as_array())
-    diff = np.abs((a1 - a2 + np.pi) % (2 * np.pi) - np.pi)
-    return float(diff.max())
+def _nested_configs(spec: LinkageSpec, r: tuple[float, float, float]) -> list[np.ndarray]:
+    """The configurations where some cos(delta_ij) vanishes, in closed form.
+
+    With sum q = 1 and sum |q|^2 = 1, Re(q_i conj(q_j)) = p_k - Re q_k, so
+    cos(delta_ij) = 0 exactly when q_k = sqrt(p_k) e^{+-i arccos sqrt(p_k)};
+    the other two bars then close against 1 - q_k.  Generically 12 points.
+    """
+    out = []
+    for k in range(3):
+        slots = [k, (k + 1) % 3, (k + 2) % 3]
+        angle = np.arccos(r[k])
+        for theta in (angle, -angle):
+            for cfg in solve_configs(spec, [r[i] for i in slots], theta):
+                q = np.empty(3, dtype=complex)
+                q[slots] = cfg.as_array()
+                out.append(q)
+    return out
 
 
-def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[LinkageConfig]]:
+def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[QTriple]]:
     """Ordered configurations around each connected component.
 
     Walks the crank angle over its feasible range and stitches the two
@@ -211,8 +206,8 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[Lin
     circles are tangent).  Adjacent configurations — including the
     wraparound pair — differ by less than 2*pi*3/steps in every bar
     angle; extra points are inserted by bisection where a uniform grid
-    is too coarse, and wherever cos(delta_ij) crosses zero so that the
-    nested configurations appear in the trace.
+    is too coarse.  The nested configurations (some cos(delta_ij) = 0)
+    are solved in closed form and inserted where the loop passes them.
     """
     if steps < 12:
         raise ValueError("steps must be >= 12")
@@ -234,7 +229,6 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[Lin
     if upper_free and lower_free:
         grid = np.linspace(0.0, 2.0 * np.pi, max(steps, 12), endpoint=False)
         loops = [[(float(t), +1) for t in grid], [(float(t), -1) for t in grid]]
-        wraps = [True, True]
     elif not (upper_free or upper_tangent) and not (lower_free or lower_tangent):
         half = max(steps // 2, 6)
         arc = np.linspace(alpha, beta, half)
@@ -243,7 +237,6 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[Lin
             fwd = [(float(mirror * t), +1) for t in arc]
             bwd = [(float(mirror * t), -1) for t in arc[-2:0:-1]]
             loops.append(fwd + bwd)
-        wraps = [True, True]
     else:
         # single loop: one side of the circle is passable, the other binds
         if lower_free or lower_tangent:
@@ -255,7 +248,6 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[Lin
         fwd = [(float(t), +1) for t in arc]
         bwd = [(float(t), -1) for t in arc[-2:0:-1]]
         loops = [fwd + bwd]
-        wraps = [True]
 
     def build(pt):
         return _config_at(r1, r2, r3, pt[0], pt[1])
@@ -263,69 +255,52 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[Lin
     def edge_branch(a, b):
         """Branch the loop follows between two adjacent points.
 
-        At a branch switch the two intersection circles are tangent at one
-        endpoint, where both branches give the same configuration, so the
-        in-between arc lies on the other endpoint's branch.
+        Each loop runs an arc on branch +1 and back on branch -1, switching
+        only at the arc ends.  Those are tangencies, where both branches
+        meet, so every edge that switches branch lies on branch -1.
         """
-        if a[1] == b[1]:
-            return a[1]
-        a_tangent = _bar_angle_gap(build((a[0], +1)), build((a[0], -1))) < 1e-7
-        return b[1] if a_tangent else a[1]
+        return a[1] if a[1] == b[1] else -1
 
+    # each nested configuration with its crank angle and intersection branch
+    nested = [(q, float(np.angle(q[0])), +1 if np.imag(q[1] * np.conj(1.0 - q[0])) >= 0 else -1)
+              for q in _nested_configs(spec, (r1, r2, r3))]
     max_gap = 2.0 * np.pi * 3.0 / steps
-    out: list[list[LinkageConfig]] = []
-    for pts, wrap in zip(loops, wraps):
-        # refine until every adjacent pair respects the bar-angle bound
+    out: list[list[QTriple]] = []
+    for pts in loops:
+        # refine until every adjacent pair, wraparound included, respects the bar-angle bound
+        cfgs = [build(pt) for pt in pts]
         for _ in range(40):
-            refined: list[tuple[float, int]] = []
-            grew = False
             m = len(pts)
+            angles = np.angle(cfgs)
+            gaps = np.abs(wrap_angle(angles - np.roll(angles, -1, axis=0))).max(axis=1)
+            refined: list[tuple[float, int]] = []
+            refined_cfgs = []
             for i in range(m):
-                nxt = pts[(i + 1) % m]
                 refined.append(pts[i])
-                if not wrap and i == m - 1:
-                    break
-                if _bar_angle_gap(build(pts[i]), build(nxt)) >= max_gap:
-                    refined.append(((pts[i][0] + nxt[0]) / 2.0,
-                                    edge_branch(pts[i], nxt)))
-                    grew = True
-            pts = refined
-            if not grew:
+                refined_cfgs.append(cfgs[i])
+                if gaps[i] >= max_gap:
+                    nxt = pts[(i + 1) % m]
+                    mid = ((pts[i][0] + nxt[0]) / 2.0, edge_branch(pts[i], nxt))
+                    refined.append(mid)
+                    refined_cfgs.append(build(mid))
+            if len(refined) == m:
                 break
-        # insert zero crossings of each cos(delta_ij) so nesting shows up exactly
-        cos_at = {}
-
-        def cosines(pt):
-            if pt not in cos_at:
-                cos_at[pt] = np.cos(config_deltas(build(pt)))
-            return cos_at[pt]
-
-        augmented: list[tuple[float, int]] = []
+            pts, cfgs = refined, refined_cfgs
         m = len(pts)
-        for i in range(m):
-            nxt = pts[(i + 1) % m]
-            augmented.append(pts[i])
-            if not wrap and i == m - 1:
-                continue
-            br = edge_branch(pts[i], nxt)
-            ca, cb = cosines(pts[i]), cosines(nxt)
-            crossings = []
-            for k in range(3):
-                if ca[k] * cb[k] < 0:
-                    a_t, b_t, f_a = pts[i][0], nxt[0], ca[k]
-                    for _ in range(60):
-                        mid = 0.5 * (a_t + b_t)
-                        f_m = np.cos(config_deltas(
-                            _config_at(r1, r2, r3, mid, br)))[k]
-                        if f_a * f_m <= 0:
-                            b_t = mid
-                        else:
-                            a_t, f_a = mid, f_m
-                    crossings.append(0.5 * (a_t + b_t))
-            direction = 1.0 if nxt[0] >= pts[i][0] else -1.0
-            for t in sorted(crossings, key=lambda v: direction * v):
-                augmented.append((float(t), br))
-        out.append([build(pt) for pt in augmented])
+        # an edge holds a nested point when its crank interval and its branch do
+        theta = np.array([t for t, _ in pts])
+        span = wrap_angle(np.roll(theta, -1) - theta)
+        inserts: dict[int, list] = {}
+        for q, t, branch in nested:
+            off = wrap_angle(t - theta)
+            for i in np.flatnonzero((off * span > 0) & (np.abs(off) < np.abs(span))).tolist():
+                if edge_branch(pts[i], pts[(i + 1) % m]) == branch:
+                    inserts.setdefault(i, []).append((abs(off[i]), q))
+        rows = []
+        for i, cfg in enumerate(cfgs):
+            rows.append(cfg)
+            rows.extend(q for _, q in sorted(inserts.get(i, []), key=lambda e: e[0]))
+        out.append([QTriple(*q) for q in rows])
     return out
 
 
@@ -377,16 +352,16 @@ def orbit_count_bruteforce(spec: LinkageSpec, resolution: int = 400) -> int:
     return len({find(k) for k in range(idx.size)})
 
 
-def write_orbit_csv(orbits: list[list[LinkageConfig]], out, extra=None,
-                    nested_tol: float = 1e-9) -> None:
-    """CSV rows per traced configuration.
+def write_orbit_csv(orbits: list[list[QTriple]], out, extra=None) -> int:
+    """CSV rows per traced configuration; returns the number flagged nested.
 
     Columns: step, orbit, Re/Im of each bar, the three deltas, and a
-    nested flag (1 when some |cos delta_ij| < nested_tol).  ``extra``
-    may map a config to additional columns.  ``out`` is a path or a
-    file-like object.
+    nested flag (1 when some cos delta_ij vanishes, see
+    ``combine.cos_vanishes``).  ``extra`` may map a config to additional
+    columns.  ``out`` is a path or a file-like object.
     """
     fh = open(out, "w", newline="") if isinstance(out, (str, bytes, os.PathLike)) else out
+    flagged = 0
     try:
         header = ["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2",
                   "re_q3", "im_q3", "delta12", "delta23", "delta31", "nested"]
@@ -397,15 +372,12 @@ def write_orbit_csv(orbits: list[list[LinkageConfig]], out, extra=None,
         writer.writerow(header + extra_keys)
         for orbit_id, orbit in enumerate(orbits):
             for step, cfg in enumerate(orbit):
-                d12, d23, d31 = config_deltas(cfg)
-                if np.isnan(d12):
-                    nested = 0
-                else:
-                    nested = int(min(abs(np.cos(d12)), abs(np.cos(d23)),
-                                     abs(np.cos(d31))) < nested_tol)
+                deltas = config_deltas(cfg)
+                nested = int(cos_vanishes(deltas).any())
+                flagged += nested
                 row = [step, orbit_id,
                        cfg.q1.real, cfg.q1.imag, cfg.q2.real, cfg.q2.imag,
-                       cfg.q3.real, cfg.q3.imag, d12, d23, d31, nested]
+                       cfg.q3.real, cfg.q3.imag, *deltas, nested]
                 if extra is not None:
                     vals = extra(cfg)
                     row += [vals[k] for k in extra_keys]
@@ -413,6 +385,7 @@ def write_orbit_csv(orbits: list[list[LinkageConfig]], out, extra=None,
     finally:
         if fh is not out:
             fh.close()
+    return flagged
 
 
 def _fmt(v) -> str:

@@ -90,6 +90,17 @@ class TestSynth:
         z = [complex(re, im) for re, im in report_of(doc)["z"]]
         assert_allclose(z, [0, 1], atol=1e-12)
 
+    @pytest.mark.parametrize("phases", [
+        {"phi1": 0.4, "phi2": -0.7, "c": [1.0, 0.0]},
+        {"phi1": "x", "phi2": -0.7, "a": [1.0, 0.0], "c": [0.0, 0.0]},
+        {"phi1": 0.4, "phi2": -0.7, "a": [1.0], "c": [0.0, 0.0]},
+    ])
+    def test_malformed_phases_are_usage_errors(self, tmp_path, capsys, phases):
+        cfg = write_json(tmp_path, "c.json", {"group": "s3", "phases": phases})
+        rc = main(["synth", "--config", cfg])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_group_is_usage_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"blocks": IDENTITY_BLOCKS})
         rc, _ = run(capsys, "synth", "--config", cfg)
@@ -222,6 +233,33 @@ class TestCombine:
         params = write_json(tmp_path, "p.json", {"q": random_qtriple(1).to_json()})
         rc, _ = run(capsys, "combine", "--states", states, "--params", params)
         assert rc == 2
+
+    def test_states_object_without_states_is_usage_error(self, tmp_path, capsys):
+        states = write_json(tmp_path, "s.json", {"foo": 1})
+        params = write_json(tmp_path, "p.json", {"lambda": 0.5})
+        rc = main(["combine", "--states", states, "--params", params])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [
+        {"lambda": "x"},
+        {"lambda": 0.5, "sign": "x"},
+        {"lambda": 0.5, "sign": 0.5},
+    ])
+    def test_malformed_binary_params_are_usage_errors(self, tmp_path, capsys, params):
+        states = states_file(tmp_path, "s.json", [np.eye(2) / 2, np.eye(2) / 2])
+        rc = main(["combine", "--states", states, "--params",
+                   write_json(tmp_path, "p.json", params)])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_phases_without_a_is_usage_error(self, tmp_path, capsys):
+        states = states_file(tmp_path, "s.json", [np.eye(2) / 2] * 3)
+        params = write_json(tmp_path, "p.json",
+                            {"phases": {"phi1": 0.4, "phi2": -0.4, "c": [1.0, 0.0]}})
+        rc = main(["combine", "--states", states, "--params", params])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         states = states_file(tmp_path, "s.json", [np.eye(2) / 2, np.eye(3) / 3])
@@ -400,6 +438,35 @@ class TestFlatSearch:
         assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "combine", "orbit", "epi-scan", "flat-search"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    if command == "synth":
+        argv = ["--config", write_json(tmp_path, "c.json",
+                                       {"group": "s3", "blocks": IDENTITY_BLOCKS})]
+    elif command == "combine":
+        argv = ["--states", states_file(tmp_path, "s.json", [np.eye(2) / 2] * 2),
+                "--params", write_json(tmp_path, "p.json", {"lambda": 0.5})]
+    elif command == "orbit":
+        argv = ["--config", write_json(tmp_path, "c.json", {"p": [0.5, 0.3, 0.2]}),
+                "--steps", "60"]
+    elif command == "epi-scan":
+        argv = ["--n", "2", "--samples", "5"]
+    else:
+        argv = ["--attempts", "1"]
+    rc = main([command, *argv, "--out", str(tmp_path / "missing" / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "qmix: cannot write" in err and "Traceback" not in err
+
+
+def source_env() -> dict:
+    """Environment for a child interpreter that imports qmix from the tested tree."""
+    src = str(Path(qmix.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestDispatch:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
@@ -423,10 +490,14 @@ class TestDispatch:
             "import sys; sys.argv = ['qmix', '--help']; "
             f"from {module} import {attr}; sys.exit({attr}())"
         )
-        src = str(Path(qmix.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=source_env())
+        assert res.returncode == 0, res.stderr
+        assert "synth" in res.stdout and "epi-scan" in res.stdout, res.stderr
+
+    def test_python_dash_m(self):
+        res = subprocess.run([sys.executable, "-m", "qmix", "--help"], capture_output=True,
+                             text=True, env=source_env())
         assert res.returncode == 0, res.stderr
         assert "synth" in res.stdout and "epi-scan" in res.stdout, res.stderr
 

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmix.combine import QTriple, pdelta_from_q
+from qmix.combine import (
+    NestedSpec,
+    QTriple,
+    delta_from_nested,
+    nested_params_for_weights,
+    pdelta_from_q,
+    q_from_pdelta,
+)
 from qmix.linkage import (
-    LinkageConfig,
     config_deltas,
     LinkageSpec,
     b0,
@@ -188,6 +194,18 @@ class TestOrbitTrace:
             diffs = (diffs + np.pi) % (2 * np.pi) - np.pi
             assert np.abs(diffs).max() <= max_gap + 1e-9
 
+    def test_angle_gaps_bounded_short_bar(self):
+        # the short bar makes the branches meet steeply at the arc ends; the
+        # loop must still turn there rather than stall short of the tangency
+        spec, assignment = LinkageSpec.from_weights((0.83, 0.15, 0.02))
+        for steps in (120, 1200):
+            max_gap = 2 * np.pi * 3 / steps
+            for loop in orbit_trace(spec, steps, assignment):
+                angles = np.angle([cfg.as_array() for cfg in loop])
+                diffs = np.diff(np.vstack([angles, angles[:1]]), axis=0)
+                diffs = (diffs + np.pi) % (2 * np.pi) - np.pi
+                assert np.abs(diffs).max() <= max_gap + 1e-9
+
     def test_two_loop_regime_conjugate_pairs(self):
         spec, _ = LinkageSpec.from_weights((0.01, 0.36, 0.63))
         orbits = orbit_trace(spec, steps=400)
@@ -217,6 +235,37 @@ class TestOrbitTrace:
     def test_step_floor(self):
         with pytest.raises(ValueError):
             orbit_trace(uniform_spec(), steps=6)
+
+
+NESTED_TRIPLES = [UNIFORM, (0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.01, 0.36, 0.63),
+                  (0.83, 0.15, 0.02)] + [
+    tuple(float(v) for v in w) for w in np.random.default_rng(11).dirichlet([1, 1, 1], size=4)]
+
+
+class TestNestedRows:
+    @pytest.mark.parametrize("steps", [120, 1200])
+    @pytest.mark.parametrize("p", NESTED_TRIPLES)
+    def test_flagged_rows_are_the_nested_expressions(self, p, steps):
+        # independent oracle: the 12 nested expressions (3 orderings x 2 x 2
+        # sign bits) mapped to q-triples through the (p, delta) form
+        expected = []
+        for ordering in (1, 2, 3):
+            a, a_prime = nested_params_for_weights(p, ordering)
+            for s in (0, 1):
+                for s_prime in (0, 1):
+                    spec = NestedSpec(ordering, a, a_prime, s, s_prime)
+                    expected.append(q_from_pdelta(delta_from_nested(spec, p)).as_array())
+        spec, assignment = LinkageSpec.from_weights(p)
+        buf = io.StringIO()
+        flagged = write_orbit_csv(orbit_trace(spec, steps, assignment), buf)
+        rows = [[float(v) for v in ln.split(",")] for ln in buf.getvalue().splitlines()[1:]]
+        got = [np.array(r[2:8:2]) + 1j * np.array(r[3:8:2]) for r in rows if r[11] == 1]
+        assert flagged == len(got) == 12
+        expected, got = np.array(expected), np.array(got)
+        for q in got:
+            assert np.abs(expected - q).max(axis=1).min() < 1e-9
+        for q in expected:
+            assert np.abs(got - q).max(axis=1).min() < 1e-9
 
 
 class TestBruteforceCount:
