@@ -1,16 +1,58 @@
-"""Deterministic JSON emission: fixed key order, 17-significant-digit floats.
+"""The package's JSON formats: deterministic report emission and the [re, im] codec.
 
 The stdlib encoder ties float formatting to repr; report files need a
 byte-stable format independent of Python patch version, so this small
 emitter pins floats to ``%.17g`` (lossless for doubles) and emits dict
-keys in insertion order without whitespace surprises.
+keys in insertion order without whitespace surprises.  Complex numbers
+cross the JSON boundary as ``[re, im]`` pairs, through ``pairs`` and ``complexes``.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 
-__all__ = ["dumps"]
+import numpy as np
+
+__all__ = ["dumps", "FormatError", "pairs", "reals", "complexes"]
+
+
+class FormatError(ValueError):
+    """The input document does not have the documented shape or types."""
+
+
+def pairs(x) -> list:
+    """A complex scalar or array of any shape as nested ``[re, im]`` float lists."""
+    a = np.asarray(x, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def _check(data, shape: tuple) -> bool:
+    if not shape:  # the bound is False for NaN, infinities and ints beyond the float range
+        return (isinstance(data, (int, float)) and not isinstance(data, bool)
+                and abs(data) <= sys.float_info.max)
+    return (isinstance(data, (list, tuple)) and len(data) == shape[0]
+            and all(_check(v, shape[1:]) for v in data))
+
+
+def reals(data, shape: tuple, what: str) -> np.ndarray:
+    """Nested lists of exactly ``shape`` with finite int/float leaves, as a float array.
+
+    Anything else (booleans, strings, NaN, infinities, another shape) raises
+    a FormatError naming ``what``.
+    """
+    if not _check(data, shape):
+        dims = f"length-{shape[0]}" if len(shape) == 1 else "x".join(map(str, shape))
+        kind = f"a {dims} list of finite numbers" if shape else "a finite number"
+        raise FormatError(f"{what} must be {kind}")
+    return np.array(data, dtype=float).reshape(shape)
+
+
+def complexes(data, shape: tuple, what: str) -> np.ndarray:
+    """Nested lists of ``[re, im]`` pairs, ``shape`` deep, as a complex array."""
+    a = reals(data, (*shape, 2), what)
+    return a[..., 0] + 1j * a[..., 1]
 
 
 def _emit(obj, parts: list, indent: int) -> None:
@@ -28,8 +70,7 @@ def _emit(obj, parts: list, indent: int) -> None:
             raise ValueError("reports must not contain NaN or infinity")
         parts.append(format(obj, ".17g"))
     elif isinstance(obj, str):
-        parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"')
-                     .replace("\n", "\\n").replace("\t", "\\t") + '"')
+        parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -38,7 +79,7 @@ def _emit(obj, parts: list, indent: int) -> None:
         for i, (k, v) in enumerate(obj.items()):
             if not isinstance(k, str):
                 raise TypeError(f"non-string key: {k!r}")
-            parts.append(pad + "  " + '"' + k + '": ')
+            parts.append(pad + "  " + json.dumps(k, ensure_ascii=False) + ": ")
             _emit(v, parts, indent + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")

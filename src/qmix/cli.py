@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ._serial import dumps
+from ._serial import FormatError, complexes, dumps, pairs, reals
 from .combine import (
     GaugeViolation,
     PDelta,
@@ -56,6 +57,7 @@ from .linkage import LinkageSpec, orbit_trace, write_orbit_csv
 from .states import DensityMatrix, bloch_vector, entropy, get_functional, random_density
 
 FORMAT_TAG = "qmix/1"
+MAX_CYCLIC_ORDER = 120  # the order of S5, the largest group symmetric_group builds
 
 
 class CliError(Exception):
@@ -94,25 +96,13 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _real(value, what: str) -> float | int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(2, f"{what} must be a number")
-    return value
-
-
 def _s3_phases(ph) -> tuple:
     """(phi1, phi2, a, c) from {"phi1": f, "phi2": f, "a": [re, im], "c": [re, im]}."""
     if not isinstance(ph, dict):
         raise CliError(2, "'phases' must be an object with phi1, phi2, a and c")
-
-    def pair(key: str) -> complex:
-        v = ph.get(key)
-        if not isinstance(v, list) or len(v) != 2:
-            raise CliError(2, f"phases {key!r} must be a [re, im] pair")
-        return _real(v[0], f"phases {key!r}") + 1j * _real(v[1], f"phases {key!r}")
-
-    return (_real(ph.get("phi1"), "phases 'phi1'"), _real(ph.get("phi2"), "phases 'phi2'"),
-            pair("a"), pair("c"))
+    phi1, phi2 = (float(reals(ph.get(k), (), f"phases {k!r}")) for k in ("phi1", "phi2"))
+    a, c = (complex(complexes(ph.get(k), (), f"phases {k!r}")) for k in ("a", "c"))
+    return phi1, phi2, a, c
 
 
 def _wrap(command: str, report: dict, elapsed: float) -> dict:
@@ -120,50 +110,38 @@ def _wrap(command: str, report: dict, elapsed: float) -> dict:
             "timing": {"elapsed_s": elapsed}}
 
 
-def _c2(v: complex) -> list:
-    return [float(np.real(v)), float(np.imag(v))]
-
-
-def _mat_json(M: np.ndarray) -> list:
-    return [[_c2(v) for v in row] for row in M]
-
-
 # ---------------------------------------------------------------------------
 # synth
 
 
-def _irreps_for(group_name: str):
-    if group_name == "s3":
+def _irreps_for(group):
+    if group == "s3":
         return irreps_s3()
-    if group_name.startswith("z") and group_name[1:].isdigit():
-        n = int(group_name[1:])
-        if n < 1:
-            raise CliError(2, "cyclic group order must be >= 1")
-        return irreps_cyclic(n)
-    raise CliError(2, f"unknown group {group_name!r} (expected 's3' or 'z<n>')")
+    if isinstance(group, str) and group[:1] == "z" and group[1:].isdecimal():
+        if len(group) > 4 or not 1 <= int(group[1:]) <= MAX_CYCLIC_ORDER:
+            raise CliError(2, f"cyclic group order must be between 1 and {MAX_CYCLIC_ORDER}")
+        return irreps_cyclic(int(group[1:]))
+    raise CliError(2, f"unknown group {group!r} (expected 's3' or 'z<n>')")
 
 
 def _blocks_from_config(cfg: dict, irreps) -> BlockUnitaries:
+    labels = tuple(r.label for r in irreps)
     if "blocks" in cfg:
         table = cfg["blocks"]
+        if not isinstance(table, dict):
+            raise CliError(2, "'blocks' must be an object mapping irrep labels to matrices")
         mats = []
         for r in irreps:
             if r.label not in table:
                 raise CliError(2, f"config is missing a block for irrep {r.label!r}")
-            M = np.array([[re + 1j * im for re, im in row] for row in table[r.label]],
-                         dtype=complex)
-            if M.shape != (r.dim, r.dim):
-                raise CliError(2, f"block for {r.label!r} must be {r.dim}x{r.dim}")
-            mats.append(M)
-        return BlockUnitaries(tuple(mats), tuple(r.label for r in irreps))
+            mats.append(complexes(table[r.label], (r.dim, r.dim), f"block {r.label!r}"))
+        return BlockUnitaries(tuple(mats), labels)
     if "phases" in cfg:
         ph = cfg["phases"]
         if cfg["group"] == "s3":
             return s3_phase_blocks(*_s3_phases(ph))
-        mats = tuple(np.array([[np.exp(1j * t)]]) for t in ph)
-        if len(mats) != len(irreps.irreps):
-            raise CliError(2, "need one phase per character")
-        return BlockUnitaries(mats, tuple(r.label for r in irreps))
+        t = reals(ph, (len(irreps),), "'phases'")
+        return BlockUnitaries(tuple(np.exp(1j * t).reshape(-1, 1, 1)), labels)
     raise CliError(2, "config needs either 'blocks' or 'phases'")
 
 
@@ -184,7 +162,7 @@ def _cmd_synth(args) -> int:
         "group": cfg["group"],
         "order": irreps.group.order,
         "labels": [r.label for r in irreps],
-        "z": [_c2(v) for v in z.coeffs],
+        "z": pairs(z.coeffs),
         "regular_unitarity_residual": residual,
         "block_roundtrip_error": roundtrip,
     }
@@ -205,8 +183,9 @@ def _states_from_file(path: str) -> list[DensityMatrix]:
         raise CliError(2, f"{path} must hold a list of states or {{\"states\": [...]}}")
     try:
         states = [DensityMatrix.from_json(m) for m in rows]
-    except (ValueError, TypeError) as exc:
-        raise CliError(3, f"invalid state in {path}: {exc}") from exc
+    except ValueError as exc:
+        code = 2 if isinstance(exc, FormatError) else 3
+        raise CliError(code, f"invalid state in {path}: {exc}") from exc
     if len(states) not in (2, 3):
         raise CliError(2, "need exactly 2 or 3 states")
     if len({s.dim for s in states}) != 1:
@@ -241,34 +220,30 @@ def _cmd_combine(args) -> int:
     if not isinstance(params, dict):
         raise CliError(2, "params file must be a JSON object")
     d = states[0].dim
+    verify_diff = None
     if len(states) == 2:
         if "lambda" not in params:
             raise CliError(2, "binary combination needs a 'lambda' parameter")
-        lam = float(_real(params["lambda"], "'lambda'"))
+        lam = float(reals(params["lambda"], (), "'lambda'"))
         sign = params.get("sign", +1)
         if isinstance(sign, bool) or sign not in (+1, -1):
             raise CliError(2, "'sign' must be +1 or -1")
         sign = int(sign)
         out = combine2(states[0], states[1], lam, sign)
         mode_info = {"lambda": lam, "sign": sign}
-        verify_diff = None
     else:
         q, z = _ternary_params(params)
-        mode = args.mode
-        if mode in ("closed", "pdelta") and q is None:
-            raise GaugeViolation("these coefficients do not satisfy the sum-one gauge")
-        if mode == "closed":
+        if args.mode == "closed":
+            if q is None:
+                raise GaugeViolation("these coefficients do not satisfy the sum-one gauge")
             out = combine3_closed(states[0], states[1], states[2], q)
-        elif mode == "magic":
+        elif args.mode == "magic":
             out = combine3_magic(states[0], states[1], states[2], z)
-        elif mode == "brute":
-            out = combine3_bruteforce(states[0], states[1], states[2], z)
         else:
-            raise CliError(2, f"unknown mode {mode!r}")
-        mode_info = {"z": [_c2(v) for v in z.z]}
+            out = combine3_bruteforce(states[0], states[1], states[2], z)
+        mode_info = {"z": z.to_json()}
         if q is not None:
             mode_info["q"] = q.to_json()
-        verify_diff = None
         if args.verify:
             outs = [combine3_magic(states[0], states[1], states[2], z).mat,
                     combine3_bruteforce(states[0], states[1], states[2], z).mat]
@@ -283,7 +258,7 @@ def _cmd_combine(args) -> int:
         "n_states": len(states),
         "mode": args.mode if len(states) == 3 else "binary",
         "params": mode_info,
-        "state": _mat_json(M),
+        "state": pairs(M),
         "diagnostics": {
             "trace": float(np.real(np.trace(M))),
             "hermiticity_residual": float(np.abs(M - M.conj().T).max()),
@@ -310,8 +285,9 @@ def _cmd_orbit(args) -> int:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict) or "p" not in cfg:
         raise CliError(2, "orbit config must contain a weight triple 'p'")
+    weights = reals(cfg["p"], (3,), "'p'")
     try:
-        spec, assignment = LinkageSpec.from_weights(cfg["p"])
+        spec, assignment = LinkageSpec.from_weights(weights)
     except ValueError as exc:
         raise CliError(2, f"bad weights: {exc}") from exc
     try:
@@ -329,7 +305,7 @@ def _cmd_orbit(args) -> int:
     with _writing(args.out):
         flagged = write_orbit_csv(orbits, args.out, extra=extra)
     report = {
-        "weights": [float(v) for v in cfg["p"]],
+        "weights": weights.tolist(),
         "lengths": list(spec.lengths()),
         "steps": args.steps,
         "orbits": len(orbits),
@@ -388,7 +364,7 @@ def _sample_detail(n: int, d: int, seed: int, index: int) -> dict:
     """Reproduction record for one sample (used for argmin and counterexamples)."""
     states, params = _draw(n, d, seed, index)
     detail: dict = {"sample_index": index, "seed_path": [seed, index],
-                    "states": [_mat_json(r.mat) for r in states]}
+                    "states": [r.to_json() for r in states]}
     if n == 2:
         detail["lambda"], detail["sign"] = params
     else:
@@ -407,10 +383,12 @@ def _cmd_epi_scan(args) -> int:
     except KeyError as exc:
         raise CliError(2, str(exc.args[0])) from exc
     spec = (args.n, args.d, args.functional, args.seed)
-    if args.workers > 1:
-        bounds = np.linspace(0, args.samples, args.workers + 1).astype(int)
+    # the pool starts every worker up front, so never ask for more than can be busy
+    workers = min(args.workers, args.samples, os.cpu_count() or 1)
+    if workers > 1:
+        bounds = np.linspace(0, args.samples, workers + 1).astype(int)
         chunks = [spec + (int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_scan_range, chunks))
     else:
         parts = [_scan_range(spec + (0, args.samples))]
@@ -454,7 +432,7 @@ def _cmd_flat_search(args) -> int:
     sols = []
     for z in found:
         sols.append({
-            "z": [_c2(v) for v in z.coeffs],
+            "z": pairs(z.coeffs),
             "flatness": float(np.abs(np.abs(z.coeffs) - target).max()),
         })
     report = {
@@ -532,7 +510,7 @@ def main(argv=None) -> int:
         return exc.code
     except ValueError as exc:
         print(f"qmix: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, FormatError) else 3
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._serial import complexes, pairs, reals
 from .groups import CoeffVector, Perm, symmetric_group
 from .irreps import NonUnitaryBlock, extract_blocks, irreps_s3, tensor_rep
 from .states import DensityMatrix, commutator, partial_trace, tensor
@@ -121,10 +122,10 @@ class QTriple:
     def __post_init__(self):
         q = np.array([self.q1, self.q2, self.q3], dtype=complex)
         norm = np.abs(q) @ np.abs(q)
-        if abs(norm - 1) > _CONSTRAINT_TOL:
+        if not abs(norm - 1) <= _CONSTRAINT_TOL:  # written so that NaN fails
             raise ValueError(f"sum |q_i|^2 = {norm:.12g}, not 1")
         total = q.sum()
-        if abs(abs(total) - 1) > _CONSTRAINT_TOL:
+        if not abs(abs(total) - 1) <= _CONSTRAINT_TOL:
             raise ValueError(f"|q1+q2+q3| = {abs(total):.12g}, not 1")
         if abs(total - 1) > _CONSTRAINT_TOL:
             q = q * (np.conj(total) / abs(total))
@@ -142,11 +143,11 @@ class QTriple:
         return QTriple(np.conj(self.q1), np.conj(self.q2), np.conj(self.q3))
 
     def to_json(self) -> list:
-        return [[float(v.real), float(v.imag)] for v in self.as_array()]
+        return pairs(self.as_array())
 
     @classmethod
     def from_json(cls, data) -> "QTriple":
-        return cls(*(re + 1j * im for re, im in data))
+        return cls(*complexes(data, (3,), "q").tolist())
 
 
 @dataclass(frozen=True)
@@ -164,15 +165,15 @@ class PDelta:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if (p < -1e-15).any() or abs(p.sum() - 1) > _CONSTRAINT_TOL:
+        if not ((p >= -1e-15).all() and abs(p.sum() - 1) <= _CONSTRAINT_TOL):  # NaN fails
             raise ValueError("weights must be nonnegative and sum to 1")
         d = np.asarray(self.deltas, dtype=float)
-        if abs(wrap_angle(d.sum())) > _CONSTRAINT_TOL:
+        if not abs(wrap_angle(d.sum())) <= _CONSTRAINT_TOL:
             raise ValueError(f"delta sum {d.sum():.12g} is not 0 mod 2*pi")
         r = np.sqrt(np.maximum(p, 0.0))
         cos_sum = (r[0] * r[1] * np.cos(d[0]) + r[1] * r[2] * np.cos(d[1])
                    + r[2] * r[0] * np.cos(d[2]))
-        if abs(cos_sum) > _CONSTRAINT_TOL:
+        if not abs(cos_sum) <= _CONSTRAINT_TOL:
             raise ValueError(f"weighted cosine sum {cos_sum:.3e} does not vanish")
         object.__setattr__(self, "p", tuple(float(v) for v in p))
         object.__setattr__(self, "deltas", tuple(float(v) for v in d))
@@ -182,7 +183,7 @@ class PDelta:
 
     @classmethod
     def from_json(cls, data) -> "PDelta":
-        return cls(tuple(data["p"]), tuple(data["deltas"]))
+        return cls(reals(data["p"], (3,), "p"), reals(data["deltas"], (3,), "deltas"))
 
 
 @dataclass(frozen=True)
@@ -217,11 +218,11 @@ class S3Coeffs:
         return float(max(abs(np.real(z[i] * np.conj(z[i + 3]))) for i in range(3)))
 
     def to_json(self) -> list:
-        return [[float(v.real), float(v.imag)] for v in self.z]
+        return pairs(self.z)
 
     @classmethod
     def from_json(cls, data) -> "S3Coeffs":
-        return cls(np.array([re + 1j * im for re, im in data], dtype=complex))
+        return cls(complexes(data, (6,), "z"))
 
 
 @dataclass(frozen=True)
@@ -651,6 +652,6 @@ def random_s3_phases(rng: np.random.Generator, balanced: bool = True
 
 def random_qtriple(seed=None) -> QTriple:
     """Uniform sample of the constraint manifold via the phase parametrization."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     phi1, phi2, a, c = random_s3_phases(rng, balanced=True)
     return q_from_z(s3_coeffs_from_phases(phi1, phi2, a, c))

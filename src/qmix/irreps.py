@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._serial import complexes, pairs
 from .groups import CoeffVector, FiniteGroup, Perm, cyclic_group, symmetric_group
 
 __all__ = [
@@ -240,7 +241,7 @@ def synthesize_coeffs(blocks: BlockUnitaries, irreps: IrrepSet) -> CoeffVector:
         if U.shape != (r.dim, r.dim):
             raise ValueError(f"block for {r.label!r} has wrong shape")
         res = _unitarity_residual(U)
-        if res > UNITARY_TOL:
+        if not res <= UNITARY_TOL:  # written so that NaN fails
             raise NonUnitaryBlock(r.label, res)
         z += (r.dim / G.order) * np.einsum("gji,ji->g", r.matrices.conj(), U)
     return CoeffVector(G, z)
@@ -259,7 +260,7 @@ def extract_blocks(z: CoeffVector, irreps: IrrepSet, tol: float = UNITARY_TOL) -
     for r in irreps:
         B = np.einsum("g,gjk->jk", z.coeffs, r.matrices)
         res = _unitarity_residual(B)
-        if res > tol:
+        if not res <= tol:  # written so that NaN fails
             raise NonUnitaryBlock(r.label, res)
         out.append(B)
     return BlockUnitaries(tuple(out), tuple(r.label for r in irreps))
@@ -364,20 +365,9 @@ def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int,
 
 def irreps_to_json(irreps: IrrepSet) -> dict:
     """JSON-ready dict: label, dim, per-element matrices as [re, im] pairs."""
-    return {
-        "order": irreps.group.order,
-        "irreps": [
-            {
-                "label": r.label,
-                "dim": r.dim,
-                "matrices": [
-                    [[[float(v.real), float(v.imag)] for v in row] for row in r.matrices[g]]
-                    for g in irreps.group.elements
-                ],
-            }
-            for r in irreps
-        ],
-    }
+    return {"order": irreps.group.order,
+            "irreps": [{"label": r.label, "dim": r.dim, "matrices": pairs(r.matrices)}
+                       for r in irreps]}
 
 
 def irreps_from_json(data, group: FiniteGroup) -> IrrepSet:
@@ -388,7 +378,7 @@ def irreps_from_json(data, group: FiniteGroup) -> IrrepSet:
         raise ValueError("group order mismatch")
     irreps = []
     for entry in data["irreps"]:
-        mats = np.array([[[re + 1j * im for re, im in row] for row in mat]
-                         for mat in entry["matrices"]], dtype=complex)
-        irreps.append(Irrep(entry["label"], entry["dim"], mats))
+        d = entry["dim"]
+        mats = complexes(entry["matrices"], (group.order, d, d), f"irrep {entry['label']!r}")
+        irreps.append(Irrep(entry["label"], d, mats))
     return IrrepSet(group, tuple(irreps))

@@ -12,6 +12,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._serial import FormatError, complexes, pairs
+
 __all__ = [
     "DensityMatrix",
     "EntropyFunctional",
@@ -57,13 +59,13 @@ class DensityMatrix:
         self.dim = M.shape[0]
         if check:
             herm = np.abs(M - M.conj().T).max()
-            if herm > _HERM_TOL:
+            if not herm <= _HERM_TOL:  # each check is written so that NaN fails
                 raise ValueError(f"not Hermitian (residual {herm:.3e})")
             tr = M.trace()
-            if abs(tr - 1) > _TRACE_TOL:
+            if not abs(tr - 1) <= _TRACE_TOL:
                 raise ValueError(f"trace is {tr:.12g}, not 1")
             lo = np.linalg.eigvalsh(M)[0]
-            if lo < _PSD_TOL:
+            if not lo >= _PSD_TOL:
                 raise ValueError(f"negative eigenvalue {lo:.3e}")
 
     @classmethod
@@ -98,12 +100,14 @@ class DensityMatrix:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
     def to_json(self) -> list:
-        return [[[float(v.real), float(v.imag)] for v in row] for row in self.mat]
+        return pairs(self.mat)
 
     @classmethod
     def from_json(cls, rows) -> "DensityMatrix":
-        M = np.array([[re + 1j * im for re, im in row] for row in rows], dtype=complex)
-        return cls(M)
+        """A non-empty square matrix of [re, im] pairs; FormatError on any other shape."""
+        if not isinstance(rows, list) or not rows:
+            raise FormatError("density matrix must be a non-empty square list of [re, im] pairs")
+        return cls(complexes(rows, (len(rows), len(rows)), "density matrix"))
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
@@ -164,19 +168,13 @@ def double_commutator(A, B, C) -> np.ndarray:
     return commutator(A, commutator(B, C))
 
 
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_density(d: int, rank: int | None = None, seed=None) -> DensityMatrix:
     """Random density matrix G G^dag / Tr(...) with complex Gaussian G of shape d x rank."""
     if rank is None:
         rank = d
     if not 1 <= rank <= d:
         raise ValueError("rank must satisfy 1 <= rank <= d")
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     G = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     M = G @ G.conj().T
     return DensityMatrix(M / np.real(np.trace(M)), check=False)

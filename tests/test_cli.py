@@ -341,6 +341,13 @@ class TestOrbit:
                     "--out", str(tmp_path / "t.csv"))
         assert rc == 2
 
+    def test_control_character_in_out_path_is_escaped(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"p": [0.5, 0.3, 0.2]})
+        out = str(tmp_path / "a\rb\x01.csv")
+        rc, doc = run(capsys, "orbit", "--config", cfg, "--steps", "60", "--out", out)
+        assert rc == 0
+        assert report_of(doc)["csv"] == out
+
 
 class TestEpiScan:
     def test_binary_scan_passes(self, capsys):
@@ -391,6 +398,30 @@ class TestEpiScan:
     def test_bad_samples(self, capsys):
         rc, _ = run(capsys, "epi-scan", "--n", "2", "--samples", "0")
         assert rc == 2
+
+    def test_pool_never_exceeds_cpus_or_samples(self, capsys, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        argv = ("epi-scan", "--n", "2", "--seed", "5")
+        docs = [run(capsys, *argv, "--samples", n, "--workers", w)[1]
+                for n, w in (("10", "1"), ("10", "100000"), ("3", "100000"))]
+        assert sizes == [4, 3]
+        assert strip_timing(docs[0]) == strip_timing(docs[1])
 
     def test_rigged_functional_fails_binary_scan(self, capsys, monkeypatch):
         # anti-concave functional: mixing can only lower it
@@ -457,6 +488,59 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 2
     assert "qmix: cannot write" in err and "Traceback" not in err
+
+
+HALF = mat_json(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("role, doc", [
+    pytest.param("params", {"q": 5}, id="q-number"),
+    pytest.param("params", {"q": [[1, 0], [0, 0]]}, id="q-two-entries"),
+    pytest.param("params", {"q": [["a", 0], [0, 0], [0, 0]]}, id="q-string"),
+    pytest.param("params", {"q": [[1, 0, 0], [0, 0], [0, 0]]}, id="q-triple-entry"),
+    pytest.param("params", {"q": [[float("nan"), 0], [0, 0], [0, 0]]}, id="q-nan"),
+    pytest.param("params", {"z": 5}, id="z-number"),
+    pytest.param("params", {"z": [[1, 0]]}, id="z-one-entry"),
+    pytest.param("params", {"p": 5, "deltas": 1}, id="pdelta-numbers"),
+    pytest.param("params", {"p": [0.2, 0.3, 0.5], "deltas": [0, 0]}, id="deltas-two"),
+    pytest.param("params", {"p": ["a", "b", "c"], "deltas": [0, 0, 0]}, id="p-strings"),
+    pytest.param("states", {"states": [5, 5, 5]}, id="states-numbers"),
+    pytest.param("states", {"states": [[[1, 0]], HALF, HALF]}, id="state-flat-row"),
+    pytest.param("states", {"states": [[[[1, 0], [0, 0]]], HALF, HALF]}, id="state-non-square"),
+    pytest.param("states", {"states": [[[[float("nan"), 0], [0, 0]], [[0, 0], [0.5, 0]]],
+                                       HALF, HALF]}, id="state-nan"),
+    pytest.param("synth", {"group": 5}, id="group-number"),
+    pytest.param("synth", {"group": "z121", "phases": [0] * 121}, id="group-too-large"),
+    pytest.param("synth", {"group": "z2", "blocks": 5}, id="blocks-number"),
+    pytest.param("synth", {"group": "z2", "blocks": {"chi0": 5, "chi1": [[[1, 0]]]}},
+                 id="block-number"),
+    pytest.param("synth", {"group": "z2", "blocks": {"chi0": [[[1, 0, 0]]], "chi1": [[[1, 0]]]}},
+                 id="block-triple-entry"),
+    pytest.param("synth", {"group": "z3", "phases": 5}, id="cyclic-phases-number"),
+    pytest.param("synth", {"group": "z3", "phases": ["a", "b", "c"]}, id="cyclic-phases-strings"),
+    pytest.param("orbit", {"p": 5}, id="p-number"),
+    pytest.param("orbit", {"p": [True, False, False]}, id="p-booleans"),
+])
+def test_malformed_input_is_usage_error(tmp_path, capsys, role, doc):
+    bad = write_json(tmp_path, "bad.json", doc)
+    states = write_json(tmp_path, "s.json", {"states": [HALF] * 3})
+    params = write_json(tmp_path, "p.json", {"q": [[1, 0], [0, 0], [0, 0]]})
+    argv = {"params": ["combine", "--states", states, "--params", bad],
+            "states": ["combine", "--states", bad, "--params", params],
+            "synth": ["synth", "--config", bad],
+            "orbit": ["orbit", "--config", bad, "--steps", "12",
+                      "--out", str(tmp_path / "o.csv")]}[role]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("qmix: ") and "Traceback" not in err
+
+
+def test_non_psd_state_is_domain_error(tmp_path, capsys):
+    states = states_file(tmp_path, "s.json", [np.diag([1.5, -0.5]), np.eye(2) / 2, np.eye(2) / 2])
+    params = write_json(tmp_path, "p.json", {"q": [[1, 0], [0, 0], [0, 0]]})
+    assert main(["combine", "--states", states, "--params", params]) == 3
+    assert "negative eigenvalue" in capsys.readouterr().err
 
 
 def source_env() -> dict:

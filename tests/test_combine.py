@@ -35,7 +35,8 @@ from qmix.combine import (
     verify_real_imag_param,
     z_from_q,
 )
-from qmix.irreps import extract_blocks, haar_unitary, irreps_s3, tensor_rep
+from qmix.irreps import (BlockUnitaries, extract_blocks, haar_unitary, irreps_cyclic,
+                         irreps_s3, synthesize_coeffs, tensor_rep)
 from qmix.groups import Perm
 from qmix.states import (
     DensityMatrix,
@@ -682,3 +683,15 @@ class TestRandomSampling:
         phi1, phi2, a, c = random_s3_phases(rng, balanced=True)
         assert phi2 == -phi1
         assert abs(abs(a) ** 2 + abs(c) ** 2 - 1) < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QTriple(np.nan, 0, 0),
+    lambda: DensityMatrix([[np.nan, 0], [0, 1]]),
+    lambda: PDelta((0.2, 0.3, 0.5), (np.nan, 0, 0)),
+    lambda: S3Coeffs([np.nan] * 6).validate_unitary(),
+    lambda: synthesize_coeffs(BlockUnitaries((np.array([[np.nan]]),)), irreps_cyclic(1)),
+], ids=["qtriple", "density", "pdelta", "s3coeffs", "synthesis"])
+def test_nan_fails_validation(build):
+    with pytest.raises(ValueError):
+        build()
