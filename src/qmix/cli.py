@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -80,17 +81,37 @@ def _load_json(path: str):
 
 @contextmanager
 def _writing(path: str):
-    """Scope that writes an --out path; failing to write it is a usage error."""
+    """Write an --out path atomically; failing to write it is a usage error.
+
+    The body writes the yielded temp path, created beside the file that
+    ``path`` names (symlinks followed, as open() follows them) with the mode
+    open() gives a new file; it is renamed over that file on success and
+    removed on failure, so a failed write leaves the old file.  No fsync:
+    this guards against failed writes, not power loss.  A pipe or device
+    such as /dev/stdout cannot be renamed over and is written in place.
+    """
     try:
-        yield
+        if os.path.exists(path) and not os.path.isfile(path):
+            yield path
+            return
+        target = os.path.realpath(path)
+        tmp = os.path.join(os.path.dirname(target), f".qmix-{secrets.token_hex(6)}.tmp")
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        try:
+            yield tmp
+            os.replace(tmp, target)
+        except BaseException:
+            with suppress(OSError):
+                os.remove(tmp)
+            raise
     except OSError as exc:
-        raise CliError(2, f"cannot write {path}: {exc}") from exc
+        raise CliError(2, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(doc: dict, out: str | None) -> None:
     text = dumps(doc)
     if out:
-        with _writing(out), open(out, "w") as fh:
+        with _writing(out) as tmp, open(tmp, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -302,8 +323,8 @@ def _cmd_orbit(args) -> int:
         def extra(q: QTriple) -> dict:
             x, y, z = bloch_vector(combine3_closed(*rhos, q))
             return {"bloch_x": x, "bloch_y": y, "bloch_z": z}
-    with _writing(args.out):
-        flagged = write_orbit_csv(orbits, args.out, extra=extra)
+    with _writing(args.out) as tmp:
+        flagged = write_orbit_csv(orbits, tmp, extra=extra)
     report = {
         "weights": weights.tolist(),
         "lengths": list(spec.lengths()),

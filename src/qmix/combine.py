@@ -65,6 +65,7 @@ __all__ = [
 
 _CONSTRAINT_TOL = 1e-10
 _NESTED_COS_TOL = 1e-9
+_SWAP_TOL = 1e-9
 
 _S3 = symmetric_group(3)
 _S3_IRREPS = irreps_s3()
@@ -100,6 +101,11 @@ class NotNested(ValueError):
 
 class CoefficientSumNonzero(ValueError):
     """The pairwise real-overlap sum is nonzero (invalid q-triple)."""
+
+
+def _is_probability_triple(p: np.ndarray) -> bool:
+    """Three nonnegative weights summing to 1 (within rounding); False for NaN."""
+    return bool(p.shape == (3,) and (p >= -1e-15).all() and abs(p.sum() - 1) <= _CONSTRAINT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +171,7 @@ class PDelta:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if not ((p >= -1e-15).all() and abs(p.sum() - 1) <= _CONSTRAINT_TOL):  # NaN fails
+        if not _is_probability_triple(p):
             raise ValueError("weights must be nonnegative and sum to 1")
         d = np.asarray(self.deltas, dtype=float)
         if not abs(wrap_angle(d.sum())) <= _CONSTRAINT_TOL:
@@ -206,9 +212,9 @@ class S3Coeffs:
     def as_coeffvector(self) -> CoeffVector:
         return CoeffVector(_S3, self.z.copy())
 
-    def validate_unitary(self, tol: float = _CONSTRAINT_TOL) -> None:
+    def validate_unitary(self) -> None:
         try:
-            extract_blocks(self.as_coeffvector(), _S3_IRREPS, tol=tol)
+            extract_blocks(self.as_coeffvector(), _S3_IRREPS)
         except NonUnitaryBlock as exc:
             raise NonUnitaryCoefficients(str(exc)) from exc
 
@@ -249,14 +255,6 @@ class NestedSpec:
         if self.s not in (0, 1) or self.s_prime not in (0, 1):
             raise ValueError("sign bits must be 0 or 1")
 
-    def to_json(self) -> dict:
-        return {"ordering": self.ordering, "a": self.a, "a_prime": self.a_prime,
-                "s": self.s, "s_prime": self.s_prime}
-
-    @classmethod
-    def from_json(cls, data) -> "NestedSpec":
-        return cls(data["ordering"], data["a"], data["a_prime"], data["s"], data["s_prime"])
-
 
 # ---------------------------------------------------------------------------
 # binary combination
@@ -292,16 +290,16 @@ def combine2_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, lam: float,
     return DensityMatrix(partial_trace(big, {1}, d, 2))
 
 
-def partial_swap_params(z1: complex, z2: complex, tol: float = 1e-9) -> tuple[float, float, int]:
+def partial_swap_params(z1: complex, z2: complex) -> tuple[float, float, int]:
     """Recover (phi, lam, sign) with z1 = e^{i phi} sqrt(lam), z2 = sign i e^{i phi} sqrt(1-lam).
 
     Any unitary z1*I + z2*SWAP admits such a form; raises ValueError if
     the pair is not unitary (|z1+z2| and |z1-z2| must both be 1).
     """
-    if abs(abs(z1 + z2) - 1) > tol or abs(abs(z1 - z2) - 1) > tol:
+    if not (abs(abs(z1 + z2) - 1) <= _SWAP_TOL and abs(abs(z1 - z2) - 1) <= _SWAP_TOL):
         raise ValueError("z1*I + z2*SWAP is not unitary")
     lam = min(abs(z1) ** 2, 1.0)
-    if abs(z1) >= tol:
+    if abs(z1) >= _SWAP_TOL:
         # unitarity makes z2/(i z1) exactly real, so arg(z1) is the phase
         phi = float(np.angle(z1))
         sign = +1 if np.real(z2 * np.exp(-1j * phi) / 1j) >= 0 else -1
@@ -323,13 +321,10 @@ def _mats(*rhos: DensityMatrix) -> list[np.ndarray]:
 
 
 def combine3_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
-                        z: S3Coeffs, d: int | None = None) -> DensityMatrix:
+                        z: S3Coeffs) -> DensityMatrix:
     """Conjugate rho1 (x) rho2 (x) rho3 by U = sum_i z_i Q_i and keep factor 1."""
     _mats(rho1, rho2, rho3)
-    if d is None:
-        d = rho1.dim
-    if d != rho1.dim:
-        raise ValueError("d does not match the states")
+    d = rho1.dim
     if d > 8:
         raise ValueError("brute force capped at local dimension 8")
     z.validate_unitary()
@@ -339,7 +334,7 @@ def combine3_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityM
 
 
 def combine3_magic(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
-                   z: S3Coeffs, check: bool = True) -> DensityMatrix:
+                   z: S3Coeffs) -> DensityMatrix:
     """The 36-term expansion of the ternary channel.
 
     Works for arbitrary coefficients; the overlap-weighted first-order
@@ -366,7 +361,7 @@ def combine3_magic(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix
     out = out + with_ct(z2 * np.conj(z1) + z5 * np.conj(z4), r2 @ r3 @ r1)
     out = out + with_ct(z3 * np.conj(z2) + z6 * np.conj(z5), r3 @ r1 @ r2)
     out = out + with_ct(z1 * np.conj(z3) + z4 * np.conj(z6), r1 @ r2 @ r3)
-    return DensityMatrix(out, check=check)
+    return DensityMatrix(out)
 
 
 def _third_order_block(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray,
@@ -425,7 +420,7 @@ def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> S
     return S3Coeffs(z)
 
 
-def q_from_z(z: S3Coeffs, tol: float = _CONSTRAINT_TOL) -> QTriple:
+def q_from_z(z: S3Coeffs) -> QTriple:
     """Pair up coefficients: q_k = z_k + z_{k+3}.
 
     Requires the split gauge (z1..z3 real, z4..z6 imaginary); otherwise
@@ -433,7 +428,7 @@ def q_from_z(z: S3Coeffs, tol: float = _CONSTRAINT_TOL) -> QTriple:
     result is rotated into the sum-one gauge by the QTriple constructor.
     """
     worst = max(float(np.abs(np.imag(z.z[:3])).max()), float(np.abs(np.real(z.z[3:])).max()))
-    if worst > tol:
+    if worst > _CONSTRAINT_TOL:
         raise GaugeViolation(f"coefficients not in the real/imaginary gauge (residual {worst:.3e})")
     q = z.z[:3] + z.z[3:]
     return QTriple(*q)
@@ -501,7 +496,7 @@ def covariance_check(op, V: np.ndarray, inputs) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def third_order_reduce(q: QTriple, tol: float = _CONSTRAINT_TOL) -> tuple[float, float]:
+def third_order_reduce(q: QTriple) -> tuple[float, float]:
     """Coefficients (x, y) of the two independent double commutators.
 
     The third-order block of the closed form equals
@@ -514,7 +509,7 @@ def third_order_reduce(q: QTriple, tol: float = _CONSTRAINT_TOL) -> tuple[float,
     x = float(np.real(qa[0] * np.conj(qa[1])))
     y = float(np.real(qa[1] * np.conj(qa[2])))
     zsum = x + y + float(np.real(qa[2] * np.conj(qa[0])))
-    if abs(zsum) > tol:
+    if abs(zsum) > _CONSTRAINT_TOL:
         raise CoefficientSumNonzero(f"real overlaps sum to {zsum:.3e}")
     return x, y
 
@@ -548,7 +543,7 @@ def nested_params_for_weights(p, ordering: int) -> tuple[float, float]:
     undetermined).
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (3,) or (p < -1e-15).any() or abs(p.sum() - 1) > _CONSTRAINT_TOL:
+    if not _is_probability_triple(p):
         raise ValueError("p must be a probability triple")
     if ordering not in (1, 2, 3):
         raise ValueError("ordering must be 1, 2, or 3")
@@ -619,17 +614,16 @@ def nested_from_delta(pd: PDelta) -> NestedSpec:
 
 
 def verify_real_imag_param(a1: float, a2: float, a3: float,
-                           b1: float, b2: float, b3: float,
-                           tol: float = _CONSTRAINT_TOL) -> bool:
+                           b1: float, b2: float, b3: float) -> bool:
     """Unitarity of (a1, a2, a3, i b1, i b2, i b3) by the two real constraints.
 
     True iff the squares sum to 1 and the cyclic cross terms
     a1 a2 + a2 a3 + a3 a1 + b1 b2 + b2 b3 + b3 b1 vanish, both within
-    ``tol``; equivalent to the per-block unitarity test.
+    1e-10; equivalent to the per-block unitarity test.
     """
     norm = a1 * a1 + a2 * a2 + a3 * a3 + b1 * b1 + b2 * b2 + b3 * b3
     cross = a1 * a2 + a2 * a3 + a3 * a1 + b1 * b2 + b2 * b3 + b3 * b1
-    return abs(norm - 1) <= tol and abs(cross) <= tol
+    return abs(norm - 1) <= _CONSTRAINT_TOL and abs(cross) <= _CONSTRAINT_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ for deciding unitarity of group-algebra elements downstream.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,13 +149,8 @@ class FiniteGroup:
         return self.labels[g] if self.labels is not None else str(g)
 
     @classmethod
-    def from_json(cls, source) -> "FiniteGroup":
-        """Load a group from ``{"order": n, "table": [[...]]}`` (path or dict)."""
-        if isinstance(source, dict):
-            data = source
-        else:
-            with open(source) as fh:
-                data = json.load(fh)
+    def from_json(cls, data: dict) -> "FiniteGroup":
+        """Load a group from ``{"order": n, "table": [[...]]}``, with an optional ``"name"``."""
         table = np.asarray(data["table"], dtype=np.intp)
         if table.shape != (data["order"], data["order"]):
             raise ValueError("table shape does not match declared order")

@@ -11,7 +11,6 @@ block-diagonalizes the regular representation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ __all__ = [
 UNITARY_TOL = 1e-10
 _HOM_TOL = 1e-12
 _TENSOR_SIZE_CAP = 4096
+_FLAT_TOL = 1e-8
 
 
 class NotBlockDiagonal(ValueError):
@@ -199,12 +199,12 @@ def fourier_matrix(irreps: IrrepSet) -> np.ndarray:
     return np.array(rows)
 
 
-def block_decompose(M: np.ndarray, irreps: IrrepSet, tol: float = UNITARY_TOL) -> list[np.ndarray]:
+def block_decompose(M: np.ndarray, irreps: IrrepSet) -> list[np.ndarray]:
     """Extract per-irrep blocks B_tau from F M F^dag, or fail.
 
     In the Fourier basis a regular-representation element looks like
     a direct sum of B_tau (x) I_{d_tau}.  Raises NotBlockDiagonal if the
-    residual off that structure exceeds ``tol``.
+    residual off that structure exceeds 1e-10.
     """
     G = irreps.group
     F = fourier_matrix(irreps)
@@ -221,7 +221,7 @@ def block_decompose(M: np.ndarray, irreps: IrrepSet, tol: float = UNITARY_TOL) -
             "jp,kq->jkpq", B, np.eye(d)).reshape(d * d, d * d)
         off += d * d
     residual = float(np.abs(hat - model).max())
-    if residual > tol:
+    if residual > UNITARY_TOL:
         raise NotBlockDiagonal(residual)
     return blocks
 
@@ -247,10 +247,10 @@ def synthesize_coeffs(blocks: BlockUnitaries, irreps: IrrepSet) -> CoeffVector:
     return CoeffVector(G, z)
 
 
-def extract_blocks(z: CoeffVector, irreps: IrrepSet, tol: float = UNITARY_TOL) -> BlockUnitaries:
+def extract_blocks(z: CoeffVector, irreps: IrrepSet) -> BlockUnitaries:
     """Per-irrep blocks B_tau = sum_g z_g tau(g); the unitarity test.
 
-    Succeeds iff every block is unitary within ``tol`` — exactly the
+    Succeeds iff every block is unitary within 1e-10 — exactly the
     criterion for sum_g z_g L_g to be unitary.  Raises NonUnitaryBlock
     naming the first failing irrep.
     """
@@ -260,14 +260,14 @@ def extract_blocks(z: CoeffVector, irreps: IrrepSet, tol: float = UNITARY_TOL) -
     for r in irreps:
         B = np.einsum("g,gjk->jk", z.coeffs, r.matrices)
         res = _unitarity_residual(B)
-        if not res <= tol:  # written so that NaN fails
+        if not res <= UNITARY_TOL:  # written so that NaN fails
             raise NonUnitaryBlock(r.label, res)
         out.append(B)
     return BlockUnitaries(tuple(out), tuple(r.label for r in irreps))
 
 
-def tensor_rep(p: Perm, d: int, n: int | None = None, size_cap: int = _TENSOR_SIZE_CAP) -> np.ndarray:
-    """Permutation p acting on (C^d)^(x n) by permuting tensor factors.
+def tensor_rep(p: Perm, d: int) -> np.ndarray:
+    """Permutation p acting on (C^d)^(x n), n = p.n, by permuting tensor factors.
 
     Maps |i_1 ... i_n> to |i_{p^{-1}(1)} ... i_{p^{-1}(n)}>, so slot k of
     the output carries what slot p^{-1}(k) carried.  Satisfies
@@ -275,13 +275,10 @@ def tensor_rep(p: Perm, d: int, n: int | None = None, size_cap: int = _TENSOR_SI
     """
     if d < 1:
         raise ValueError("local dimension must be >= 1")
-    if n is None:
-        n = p.n
-    elif n != p.n:
-        raise ValueError("n does not match the permutation size")
+    n = p.n
     size = d**n
-    if size > size_cap:
-        raise ValueError(f"matrix size {size} exceeds cap {size_cap}")
+    if size > _TENSOR_SIZE_CAP:
+        raise ValueError(f"matrix size {size} exceeds cap {_TENSOR_SIZE_CAP}")
     pinv = p.inverse()
     cols = np.arange(size)
     digits = np.array(np.unravel_index(cols, (d,) * n))
@@ -325,15 +322,14 @@ def _s3_phase_coeffs(x: np.ndarray, irreps: IrrepSet) -> CoeffVector | None:
                                              (cr + 1j * ci) / nrm), irreps)
 
 
-def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int,
-                        flat_tol: float = 1e-8) -> list[CoeffVector]:
+def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int) -> list[CoeffVector]:
     """Search for unitary coefficient vectors with |z_i| all equal to 1/sqrt(6).
 
     Scaled by sqrt(6), such a vector is a row of a complex Hadamard
     matrix.  Random multi-start over the block phases (phi1, phi2) and
     the 2-dim block parameters (a, c), refining the flatness residual
     sum_i (|z_i|^2 - 1/6)^2 with Nelder-Mead.  Returns the distinct
-    solutions found; may be empty for small ``attempts``.
+    solutions flat within 1e-8; may be empty for small ``attempts``.
     """
     if len(irreps.irreps) != 3 or irreps.group.order != 6:
         raise ValueError("flat search is specific to the S3 irrep set")
@@ -353,7 +349,7 @@ def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int,
         res = minimize(residual, x0, method="Nelder-Mead",
                        options={"maxiter": 4000, "xatol": 1e-13, "fatol": 1e-20})
         z = _s3_phase_coeffs(res.x, irreps)
-        if z is None or np.abs(np.abs(z.coeffs) - target).max() > flat_tol:
+        if z is None or np.abs(np.abs(z.coeffs) - target).max() > _FLAT_TOL:
             continue
         extract_blocks(z, irreps)  # unitarity guaranteed by construction; keep honest
         key = tuple(np.round(np.concatenate([z.coeffs.real, z.coeffs.imag]), 6))
@@ -370,10 +366,8 @@ def irreps_to_json(irreps: IrrepSet) -> dict:
                        for r in irreps]}
 
 
-def irreps_from_json(data, group: FiniteGroup) -> IrrepSet:
+def irreps_from_json(data: dict, group: FiniteGroup) -> IrrepSet:
     """Inverse of ``irreps_to_json``; revalidates against ``group``."""
-    if not isinstance(data, dict):
-        data = json.loads(data)
     if data["order"] != group.order:
         raise ValueError("group order mismatch")
     irreps = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import QTriple, cos_vanishes, wrap_angle
+from .combine import QTriple, _is_probability_triple, cos_vanishes, wrap_angle
 
 __all__ = [
     "LinkageSpec",
@@ -54,7 +54,7 @@ class LinkageSpec:
     def from_weights(cls, p) -> tuple["LinkageSpec", tuple[float, float, float]]:
         """Spec for mixing weights p, plus the slot assignment (sqrt(p) in user order)."""
         p = np.asarray(p, dtype=float)
-        if p.shape != (3,) or (p < -1e-15).any() or abs(p.sum() - 1) > _SUM_TOL:
+        if not _is_probability_triple(p):
             raise ValueError("weights must be a probability triple")
         r = np.sqrt(np.maximum(p, 0.0))
         sa, sb, sc = np.sort(r)
@@ -95,41 +95,30 @@ def _check_assignment(spec: LinkageSpec, assignment) -> tuple[float, float, floa
     return r
 
 
-def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0,
-                  tol: float = _TANGENT_TOL) -> list[QTriple]:
+def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> list[QTriple]:
     """All configurations with bar 1 at angle theta: 0, 1 (tangent), or 2.
 
     ``assignment`` gives the bar lengths in slot order (defaults to the
     sorted spec order).  Bars 2 and 3 close the chain q2 + q3 = 1 - q1,
     solved as the intersection of two circles; the two generic solutions
-    are mirror images about that chord.  A tangent solution folds bars 2
-    and 3 onto the chord, which misses sum |q_i|^2 = 1 by up to about
-    ``tol``; QTriple rejects a miss above 1e-10, so a crank angle within
-    a few ``tol`` of a tangency (but not on it) raises ValueError.
+    are mirror images about that chord.  Within 1e-9 of a tangency one
+    configuration is returned.  Just past a tangency the circles miss by
+    h^2 = r2^2 - x^2 < 0, and folding bars 2 and 3 onto the chord misses
+    sum |q_i|^2 = 1 by -2 h^2, so that is done only while it stays within
+    the 1e-10 QTriple accepts; beyond it there is no configuration.
     """
     r1, r2, r3 = _check_assignment(spec, assignment)
-    q1 = r1 * np.exp(1j * theta)
-    w = 1.0 - q1
-    D = abs(w)
+    D = abs(1.0 - r1 * np.exp(1j * theta))
     if D < _ZERO_RADIUS:
-        if r2 < tol and r3 < tol:
-            return [QTriple(q1, 0j, 0j)]
+        if r2 < _TANGENT_TOL and r3 < _TANGENT_TOL:
+            return [QTriple(r1 * np.exp(1j * theta), 0j, 0j)]
         return []
-    outer_gap = (r2 + r3) - D        # < 0: bars cannot reach
-    inner_gap = D - abs(r2 - r3)     # < 0: one bar swallows the chord
-    if outer_gap < -tol or inner_gap < -tol:
-        return []
-    u = w / D
     x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
-    if outer_gap < tol or inner_gap < tol:
-        q2 = x * u
-        return [QTriple(q1, q2, w - q2)]
-    h = np.sqrt(max(r2 * r2 - x * x, 0.0))
-    out = []
-    for branch in (+1, -1):
-        q2 = (x + 1j * branch * h) * u
-        out.append(QTriple(q1, q2, w - q2))
-    return out
+    if r2 * r2 - x * x < -0.5 * _SUM_TOL:
+        return []
+    tangent = min(r2 + r3 - D, D - abs(r2 - r3)) < _TANGENT_TOL
+    return [QTriple(*_config_at(r1, r2, r3, theta, branch))
+            for branch in ((+1,) if tangent else (+1, -1))]
 
 
 def _config_at(r1: float, r2: float, r3: float, theta: float, branch: int) -> np.ndarray:
@@ -227,10 +216,10 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[QTr
 
     # each loop is a list of (theta, branch); tangency points carry h = 0
     if upper_free and lower_free:
-        grid = np.linspace(0.0, 2.0 * np.pi, max(steps, 12), endpoint=False)
+        grid = np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False)
         loops = [[(float(t), +1) for t in grid], [(float(t), -1) for t in grid]]
     elif not (upper_free or upper_tangent) and not (lower_free or lower_tangent):
-        half = max(steps // 2, 6)
+        half = steps // 2
         arc = np.linspace(alpha, beta, half)
         loops = []
         for mirror in (+1, -1):
@@ -243,7 +232,7 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[QTr
             t0, t1 = alpha, 2.0 * np.pi - alpha
         else:
             t0, t1 = -beta, beta
-        half = max(steps // 2, 6)
+        half = steps // 2
         arc = np.linspace(t0, t1, half)
         fwd = [(float(t), +1) for t in arc]
         bwd = [(float(t), -1) for t in arc[-2:0:-1]]
@@ -358,30 +347,31 @@ def write_orbit_csv(orbits: list[list[QTriple]], out, extra=None) -> int:
     Columns: step, orbit, Re/Im of each bar, the three deltas, and a
     nested flag (1 when some cos delta_ij vanishes, see
     ``combine.cos_vanishes``).  ``extra`` may map a config to additional
-    columns.  ``out`` is a path or a file-like object.
+    columns; it is called once per row, and the first row's keys name
+    the columns.  ``out`` is a path or a file-like object.
     """
     fh = open(out, "w", newline="") if isinstance(out, (str, bytes, os.PathLike)) else out
     flagged = 0
     try:
         header = ["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2",
                   "re_q3", "im_q3", "delta12", "delta23", "delta31", "nested"]
-        extra_keys: list[str] = []
-        if extra is not None and orbits and orbits[0]:
-            extra_keys = list(extra(orbits[0][0]).keys())
+        extra_keys: list[str] | None = None
         writer = csv.writer(fh)
-        writer.writerow(header + extra_keys)
         for orbit_id, orbit in enumerate(orbits):
             for step, cfg in enumerate(orbit):
+                vals = extra(cfg) if extra is not None else {}
+                if extra_keys is None:
+                    extra_keys = list(vals)
+                    writer.writerow(header + extra_keys)
                 deltas = config_deltas(cfg)
                 nested = int(cos_vanishes(deltas).any())
                 flagged += nested
                 row = [step, orbit_id,
                        cfg.q1.real, cfg.q1.imag, cfg.q2.real, cfg.q2.imag,
                        cfg.q3.real, cfg.q3.imag, *deltas, nested]
-                if extra is not None:
-                    vals = extra(cfg)
-                    row += [vals[k] for k in extra_keys]
-                writer.writerow([_fmt(v) for v in row])
+                writer.writerow([_fmt(v) for v in row + [vals[k] for k in extra_keys]])
+        if extra_keys is None:
+            writer.writerow(header)
     finally:
         if fh is not out:
             fh.close()

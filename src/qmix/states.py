@@ -81,13 +81,13 @@ class DensityMatrix:
     @classmethod
     def from_probs(cls, p) -> "DensityMatrix":
         p = np.asarray(p, dtype=float)
-        if (p < 0).any() or abs(p.sum() - 1) > _TRACE_TOL:
+        if not ((p >= 0).all() and abs(p.sum() - 1) <= _TRACE_TOL):  # NaN fails
             raise ValueError("probabilities must be nonnegative and sum to 1")
         return cls(np.diag(p.astype(complex)), check=False)
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "DensityMatrix":
-        if x * x + y * y + z * z > 1 + 1e-12:
+        if not x * x + y * y + z * z <= 1 + 1e-12:  # NaN fails
             raise ValueError("Bloch vector must lie in the unit ball")
         M = 0.5 * (np.eye(2) + x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"])
         return cls(M, check=False)
@@ -128,7 +128,7 @@ def tensor(rho_list: Sequence[DensityMatrix]) -> DensityMatrix:
     return DensityMatrix(out, check=False)
 
 
-def partial_trace(M, keep: Iterable[int], d: int, n: int | None = None) -> np.ndarray:
+def partial_trace(M, keep: Iterable[int], d: int, n: int) -> np.ndarray:
     """Trace out all subsystems not in ``keep`` (1-based indices).
 
     ``M`` is any d^n x d^n matrix over n qudits of local dimension d;
@@ -136,8 +136,6 @@ def partial_trace(M, keep: Iterable[int], d: int, n: int | None = None) -> np.nd
     order.  Trace-preserving by construction.
     """
     M = _as_matrix(M)
-    if n is None:
-        n = round(np.log(M.shape[0]) / np.log(d)) if d > 1 else 1
     if M.shape != (d**n, d**n):
         raise ValueError("matrix size does not match d^n")
     keep = sorted(set(keep))

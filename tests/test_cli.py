@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -488,6 +489,57 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 2
     assert "qmix: cannot write" in err and "Traceback" not in err
+
+
+def test_failed_out_write_keeps_old_file(tmp_path, capsys, monkeypatch):
+    cfg = write_json(tmp_path, "c.json", {"p": [0.5, 0.3, 0.2]})
+    out = tmp_path / "trace.csv"
+    out.write_text("old contents\n")
+
+    def partial_write(orbits, path, extra=None):
+        with open(path, "w") as fh:
+            fh.write("step,orbit\n0,")
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "write_orbit_csv", partial_write)
+    rc = main(["orbit", "--config", cfg, "--steps", "60", "--out", str(out)])
+    assert rc == 2
+    assert "qmix: cannot write" in capsys.readouterr().err
+    assert out.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "trace.csv"]
+
+
+def test_out_written_with_plain_open_mode(tmp_path, capsys):
+    umask = os.umask(0o022)
+    try:
+        rc = main(["epi-scan", "--n", "2", "--samples", "5", "--out", str(tmp_path / "r.json")])
+    finally:
+        os.umask(umask)
+    assert rc == 0
+    assert stat.S_IMODE(os.stat(tmp_path / "r.json").st_mode) == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    (tmp_path / "real.json").write_text("old")
+    (tmp_path / "link.json").symlink_to("real.json")
+    rc = main(["epi-scan", "--n", "2", "--samples", "5", "--out", str(tmp_path / "link.json")])
+    assert rc == 0
+    assert (tmp_path / "link.json").is_symlink()
+    assert json.loads((tmp_path / "real.json").read_text())["command"] == "epi-scan"
+
+
+def test_out_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        rc = main(["epi-scan", "--n", "2", "--samples", "5", "--out", str(fifo)])
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert rc == 0
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert json.loads(data)["command"] == "epi-scan"
 
 
 HALF = mat_json(np.eye(2) / 2)

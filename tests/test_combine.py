@@ -691,7 +691,12 @@ class TestRandomSampling:
     lambda: PDelta((0.2, 0.3, 0.5), (np.nan, 0, 0)),
     lambda: S3Coeffs([np.nan] * 6).validate_unitary(),
     lambda: synthesize_coeffs(BlockUnitaries((np.array([[np.nan]]),)), irreps_cyclic(1)),
-], ids=["qtriple", "density", "pdelta", "s3coeffs", "synthesis"])
+    lambda: nested_params_for_weights([0.5, np.nan, 0.5], 1),
+    lambda: partial_swap_params(np.nan, 0.5),
+    lambda: DensityMatrix.from_probs([np.nan, 0.5]),
+    lambda: DensityMatrix.from_bloch(np.nan, 0, 0),
+], ids=["qtriple", "density", "pdelta", "s3coeffs", "synthesis", "nested-weights",
+        "partial-swap", "from-probs", "from-bloch"])
 def test_nan_fails_validation(build):
     with pytest.raises(ValueError):
         build()

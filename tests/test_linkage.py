@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -152,6 +153,25 @@ class TestSolveConfigs:
                     qa = np.array([cfg.q1, cfg.q2, cfg.q3])
                     assert abs(qa.sum() - 1) < 1e-8
                     assert abs((np.abs(qa) ** 2).sum() - 1) < 1e-8
+
+    @pytest.mark.parametrize("p", [UNIFORM, (0.6, 0.3, 0.1), (0.83, 0.15, 0.02)])
+    def test_near_tangency_never_raises(self, p):
+        # crank angles within 1e-8 of every tangency, in every slot order:
+        # each returned configuration closes, and none fails QTriple validation
+        spec, _ = LinkageSpec.from_weights(p)
+        offsets = np.concatenate([np.linspace(-1e-8, 1e-8, 41), [-1e-9, -5e-10, 5e-10, 1e-9]])
+        closed = 0
+        for r in itertools.permutations(spec.lengths()):
+            r1, r2, r3 = r
+            ends = [(1 + r1 * r1 - s * s) / (2 * r1) for s in (r2 + r3, r2 - r3)]
+            for t in (np.arccos(c) for c in ends if abs(c) <= 1):
+                for theta in np.concatenate([t + offsets, -t + offsets]):
+                    for cfg in solve_configs(spec, r, theta):
+                        qa = cfg.as_array()
+                        assert abs(qa.sum() - 1) <= 1e-10
+                        assert np.abs(np.abs(qa) ** 2 - np.square(r)).max() <= 1e-10
+                        closed += 1
+        assert closed > 0
 
     def test_zero_bar(self):
         spec, _ = LinkageSpec.from_weights((0.0, 0.5, 0.5))
@@ -331,6 +351,16 @@ class TestCsvExport:
         out = tmp_path / "trace.csv"
         write_orbit_csv(orbits, out)
         assert out.read_text().startswith("step,orbit,")
+
+    def test_extra_called_once_per_row(self):
+        orbits = orbit_trace(uniform_spec(), steps=60)
+        calls = []
+
+        def extra(cfg):
+            calls.append(cfg)
+            return {"w1": abs(cfg.q1) ** 2}
+        write_orbit_csv(orbits, io.StringIO(), extra=extra)
+        assert len(calls) == sum(len(o) for o in orbits)
 
     def test_extra_columns(self):
         orbits = orbit_trace(uniform_spec(), steps=60)
