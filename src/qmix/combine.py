@@ -405,7 +405,7 @@ def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> S
     phi1 = -phi2 the coefficients split into real (z1..z3) and imaginary
     (z4..z6) parts and the first-order weights become state-independent.
     """
-    if abs(abs(a) ** 2 + abs(c) ** 2 - 1) > _CONSTRAINT_TOL:
+    if not abs(abs(a) ** 2 + abs(c) ** 2 - 1) <= _CONSTRAINT_TOL:  # written so that NaN fails
         raise ValueError("|a|^2 + |c|^2 must equal 1")
     e1, e2 = np.exp(1j * phi1), np.exp(1j * phi2)
     r3 = np.sqrt(3)

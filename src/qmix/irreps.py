@@ -12,9 +12,9 @@ block-diagonalizes the regular representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._serial import complexes, pairs
 from .groups import CoeffVector, FiniteGroup, Perm, cyclic_group, symmetric_group
@@ -45,6 +45,12 @@ UNITARY_TOL = 1e-10
 _HOM_TOL = 1e-12
 _TENSOR_SIZE_CAP = 4096
 _FLAT_TOL = 1e-8
+# Levenberg-Marquardt in the flat search: iteration cap, central-difference step,
+# the cost that counts as solved, and the damping's start and range
+_LM_MAXITER = 100
+_LM_FD_STEP = 1e-6
+_LM_COST_TOL = 1e-30
+_LM_DAMP_START, _LM_DAMP_MIN, _LM_DAMP_MAX = 1e-3, 1e-12, 1e10
 
 
 class NotBlockDiagonal(ValueError):
@@ -99,14 +105,15 @@ class IrrepSet:
             if not np.allclose(mats[G.identity_id], np.eye(r.dim), atol=_HOM_TOL):
                 raise ValueError(f"irrep {r.label!r} does not map identity to I")
             prod = np.einsum("gij,hjk->ghik", mats, mats)
-            if np.abs(prod - mats[G.cayley]).max() > 1e-10:
+            # each check is written so that NaN fails
+            if not np.abs(prod - mats[G.cayley]).max() <= 1e-10:
                 raise ValueError(f"irrep {r.label!r} is not a homomorphism")
-            worst = max(_unitarity_residual(mats[g]) for g in G.elements)
-            if worst > 1e-12:
+            worst = np.max([_unitarity_residual(mats[g]) for g in G.elements])
+            if not worst <= 1e-12:
                 raise ValueError(f"irrep {r.label!r} matrices not unitary (residual {worst:.3e})")
         chars = np.array([[np.trace(r.matrices[g]) for g in G.elements] for r in self.irreps])
         gram = chars @ chars.conj().T / G.order
-        if np.abs(gram - np.eye(len(self.irreps))).max() > 1e-10:
+        if not np.abs(gram - np.eye(len(self.irreps))).max() <= 1e-10:
             raise ValueError("characters are not orthonormal")
 
     def __iter__(self):
@@ -221,7 +228,7 @@ def block_decompose(M: np.ndarray, irreps: IrrepSet) -> list[np.ndarray]:
             "jp,kq->jkpq", B, np.eye(d)).reshape(d * d, d * d)
         off += d * d
     residual = float(np.abs(hat - model).max())
-    if residual > UNITARY_TOL:
+    if not residual <= UNITARY_TOL:  # written so that NaN fails
         raise NotBlockDiagonal(residual)
     return blocks
 
@@ -322,13 +329,49 @@ def _s3_phase_coeffs(x: np.ndarray, irreps: IrrepSet) -> CoeffVector | None:
                                              (cr + 1j * ci) / nrm), irreps)
 
 
+class _Fit(NamedTuple):
+    x: np.ndarray
+    nfev: int  # residual evaluations
+    nit: int  # Jacobian evaluations
+
+
+def minimize(residuals: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> _Fit:
+    """Levenberg-Marquardt on sum(residuals(x)**2) with a central-difference Jacobian.
+
+    Stops at cost 1e-30, after 100 iterations, or when no damping up to
+    1e10 lowers the cost.
+    """
+    x = np.asarray(x0, dtype=float)
+    r = residuals(x)
+    cost, nfev, nit, damp = r @ r, 1, 0, _LM_DAMP_START
+    steps = _LM_FD_STEP * np.eye(x.size)
+    while nit < _LM_MAXITER and cost > _LM_COST_TOL:
+        nit += 1
+        J = np.stack([residuals(x + e) - residuals(x - e) for e in steps], axis=1)
+        J /= 2 * _LM_FD_STEP
+        nfev += 2 * x.size
+        A, g = J.T @ J, J.T @ r
+        while damp < _LM_DAMP_MAX:
+            trial = x - np.linalg.solve(A + damp * np.eye(x.size), g)
+            r_trial = residuals(trial)
+            nfev += 1
+            if r_trial @ r_trial < cost:
+                x, r, cost = trial, r_trial, r_trial @ r_trial
+                damp = max(damp / 10, _LM_DAMP_MIN)
+                break
+            damp *= 10
+        else:
+            break
+    return _Fit(x, nfev, nit)
+
+
 def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int) -> list[CoeffVector]:
     """Search for unitary coefficient vectors with |z_i| all equal to 1/sqrt(6).
 
     Scaled by sqrt(6), such a vector is a row of a complex Hadamard
     matrix.  Random multi-start over the block phases (phi1, phi2) and
-    the 2-dim block parameters (a, c), refining the flatness residual
-    sum_i (|z_i|^2 - 1/6)^2 with Nelder-Mead.  Returns the distinct
+    the 2-dim block parameters (a, c), driving the six residuals
+    |z_i|^2 - 1/6 to zero with Levenberg-Marquardt.  Returns the distinct
     solutions flat within 1e-8; may be empty for small ``attempts``.
     """
     if len(irreps.irreps) != 3 or irreps.group.order != 6:
@@ -336,18 +379,17 @@ def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int) -> list[Coef
     rng = np.random.default_rng(seed)
     target = 1.0 / np.sqrt(6.0)
 
-    def residual(x: np.ndarray) -> float:
+    def residuals(x: np.ndarray) -> np.ndarray:
         z = _s3_phase_coeffs(x, irreps)
         if z is None:
-            return 1.0
-        return float(np.sum((np.abs(z.coeffs) ** 2 - 1.0 / 6.0) ** 2))
+            return np.ones(6)
+        return np.abs(z.coeffs) ** 2 - 1.0 / 6.0
 
     found: list[CoeffVector] = []
     seen: set[tuple] = set()
     for _ in range(attempts):
         x0 = np.concatenate([rng.uniform(0, 2 * np.pi, 2), rng.normal(size=4)])
-        res = minimize(residual, x0, method="Nelder-Mead",
-                       options={"maxiter": 4000, "xatol": 1e-13, "fatol": 1e-20})
+        res = minimize(residuals, x0)
         z = _s3_phase_coeffs(res.x, irreps)
         if z is None or np.abs(np.abs(z.coeffs) - target).max() > _FLAT_TOL:
             continue

@@ -637,6 +637,14 @@ class TestDispatch:
         assert res.returncode == 0, res.stderr
         assert "synth" in res.stdout and "epi-scan" in res.stdout, res.stderr
 
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, qmix.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=source_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     @pytest.mark.skipif(shutil.which("qmix") is None, reason="qmix console script not on PATH")
     def test_installed_console_script(self):
         res = subprocess.run(["qmix", "--help"], capture_output=True, text=True)

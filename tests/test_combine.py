@@ -35,8 +35,8 @@ from qmix.combine import (
     verify_real_imag_param,
     z_from_q,
 )
-from qmix.irreps import (BlockUnitaries, extract_blocks, haar_unitary, irreps_cyclic,
-                         irreps_s3, synthesize_coeffs, tensor_rep)
+from qmix.irreps import (BlockUnitaries, Irrep, IrrepSet, block_decompose, extract_blocks,
+                         haar_unitary, irreps_cyclic, irreps_s3, synthesize_coeffs, tensor_rep)
 from qmix.groups import Perm
 from qmix.states import (
     DensityMatrix,
@@ -685,6 +685,14 @@ class TestRandomSampling:
         assert abs(abs(a) ** 2 + abs(c) ** 2 - 1) < 1e-12
 
 
+def _s3_irreps_with_nan_element():
+    """The S3 irreps with the standard irrep's matrix for element 3 set to NaN."""
+    ir = irreps_s3()
+    mats = ir.irreps[2].matrices.copy()
+    mats[3] = np.nan
+    return IrrepSet(ir.group, ir.irreps[:2] + (Irrep("standard", 2, mats),))
+
+
 @pytest.mark.parametrize("build", [
     lambda: QTriple(np.nan, 0, 0),
     lambda: DensityMatrix([[np.nan, 0], [0, 1]]),
@@ -695,8 +703,12 @@ class TestRandomSampling:
     lambda: partial_swap_params(np.nan, 0.5),
     lambda: DensityMatrix.from_probs([np.nan, 0.5]),
     lambda: DensityMatrix.from_bloch(np.nan, 0, 0),
+    lambda: block_decompose(np.full((6, 6), np.nan), irreps_s3()),
+    lambda: s3_coeffs_from_phases(0.1, -0.1, complex(np.nan, 0), 0.5),
+    _s3_irreps_with_nan_element,
 ], ids=["qtriple", "density", "pdelta", "s3coeffs", "synthesis", "nested-weights",
-        "partial-swap", "from-probs", "from-bloch"])
+        "partial-swap", "from-probs", "from-bloch", "block-decompose", "s3-from-phases",
+        "irrep-set"])
 def test_nan_fails_validation(build):
     with pytest.raises(ValueError):
         build()

@@ -219,7 +219,36 @@ class TestCorUnitary:
                 assert unitarity_residual(U) < 1e-10
 
 
+@pytest.fixture(scope="module")
+def exact_flat_set():
+    """Unitary S3 vectors with sqrt(6) z_g = e^{i pi k/6}, k in {+-1, +-2, +-4, +-5}, and
+    det(standard block) = 1, the slice the (phi1, phi2, a, c) parametrization covers.
+
+    Enumerates all 8^6 phase patterns at once.
+    """
+    ks = np.array([1, 2, 4, 5, -1, -2, -4, -5])
+    grid = np.stack(np.meshgrid(*[ks] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
+    Z = np.exp(1j * np.pi * grid / 6) / np.sqrt(6)
+    keep = np.ones(len(Z), dtype=bool)
+    for r in IR3:
+        B = np.einsum("ng,gjk->njk", Z, r.matrices)
+        keep &= np.abs(B @ B.conj().transpose(0, 2, 1) - np.eye(r.dim)).max(axis=(1, 2)) <= 1e-10
+    std = np.einsum("ng,gjk->njk", Z, IR3.irreps[2].matrices)
+    keep &= np.abs(np.linalg.det(std) - 1) <= 1e-10
+    return Z[keep]
+
+
 class TestFlatSearch:
+    def test_exact_set_has_72_points(self, exact_flat_set):
+        assert len(exact_flat_set) == 72
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_solutions_lie_in_the_exact_set(self, exact_flat_set, seed):
+        found = flat_unitary_search(IR3, 60, seed)
+        assert found
+        for z in found:
+            assert np.abs(exact_flat_set - z.coeffs).max(axis=1).min() <= 1e-12
+
     def test_finds_flat_unitaries(self):
         found = flat_unitary_search(IR3, attempts=6, seed=3)
         assert len(found) >= 1
