@@ -1,16 +1,15 @@
-"""The package's JSON formats: deterministic report emission and the [re, im] codec.
+"""The package's JSON formats: report emission and the [re, im] codec.
 
-The stdlib encoder ties float formatting to repr; report files need a
-byte-stable format independent of Python patch version, so this small
-emitter pins floats to ``%.17g`` (lossless for doubles) and emits dict
-keys in insertion order without whitespace surprises.  Complex numbers
-cross the JSON boundary as ``[re, im]`` pairs, through ``pairs`` and ``complexes``.
+Reports are the standard ``json`` encoding with a two-space indent and
+keys in insertion order.  Floats are written as their ``repr``, the
+shortest text that reads back to the same double, and NaN or infinity
+is rejected.  Complex numbers cross the JSON boundary as ``[re, im]``
+pairs, through ``pairs`` and ``complexes``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import numpy as np
@@ -55,50 +54,5 @@ def complexes(data, shape: tuple, what: str) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
-def _emit(obj, parts: list, indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise ValueError("reports must not contain NaN or infinity")
-        parts.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"non-string key: {k!r}")
-            parts.append(pad + "  " + json.dumps(k, ensure_ascii=False) + ": ")
-            _emit(v, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, v in enumerate(obj):
-            parts.append(pad + "  ")
-            _emit(v, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj) -> str:
-    parts: list = []
-    _emit(obj, parts, 0)
-    parts.append("\n")
-    return "".join(parts)
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"

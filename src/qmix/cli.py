@@ -254,25 +254,22 @@ def _cmd_combine(args) -> int:
         mode_info = {"lambda": lam, "sign": sign}
     else:
         q, z = _ternary_params(params)
-        if args.mode == "closed":
-            if q is None:
-                raise GaugeViolation("these coefficients do not satisfy the sum-one gauge")
-            out = combine3_closed(states[0], states[1], states[2], q)
-        elif args.mode == "magic":
-            out = combine3_magic(states[0], states[1], states[2], z)
-        else:
-            out = combine3_bruteforce(states[0], states[1], states[2], z)
+        if args.mode == "closed" and q is None:
+            raise GaugeViolation("these coefficients do not satisfy the sum-one gauge")
+        evaluators = {"closed": (combine3_closed, q), "magic": (combine3_magic, z),
+                      "brute": (combine3_bruteforce, z)}
+        # --verify runs every mode whose coefficients exist, each once
+        outs = {m: f(*states, c) for m, (f, c) in evaluators.items()
+                if m == args.mode or (args.verify and c is not None)}
+        out = outs[args.mode]
         mode_info = {"z": z.to_json()}
         if q is not None:
             mode_info["q"] = q.to_json()
         if args.verify:
-            outs = [combine3_magic(states[0], states[1], states[2], z).mat,
-                    combine3_bruteforce(states[0], states[1], states[2], z).mat]
-            if q is not None:
-                outs.append(combine3_closed(states[0], states[1], states[2], q).mat)
+            mats = [o.mat for o in outs.values()]
             verify_diff = float(max(np.abs(a - b).max()
-                                    for i, a in enumerate(outs)
-                                    for b in outs[i + 1:]))
+                                    for i, a in enumerate(mats)
+                                    for b in mats[i + 1:]))
     M = out.mat
     report = {
         "dim": d,

@@ -145,9 +145,6 @@ class FiniteGroup:
     def inv(self, g: int) -> int:
         return int(self.inverses[g])
 
-    def label(self, g: int) -> str:
-        return self.labels[g] if self.labels is not None else str(g)
-
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
         """Load a group from ``{"order": n, "table": [[...]]}``, with an optional ``"name"``."""

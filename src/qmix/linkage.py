@@ -90,7 +90,8 @@ def _check_assignment(spec: LinkageSpec, assignment) -> tuple[float, float, floa
     if assignment is None:
         return spec.lengths()
     r = tuple(float(v) for v in assignment)
-    if len(r) != 3 or any(abs(x - y) > 1e-12 for x, y in zip(sorted(r), spec.lengths())):
+    # written so that NaN fails
+    if len(r) != 3 or not all(abs(x - y) <= 1e-12 for x, y in zip(sorted(r), spec.lengths())):
         raise ValueError("assignment must be a permutation of the spec lengths")
     return r
 
@@ -369,7 +370,7 @@ def write_orbit_csv(orbits: list[list[QTriple]], out, extra=None) -> int:
                 row = [step, orbit_id,
                        cfg.q1.real, cfg.q1.imag, cfg.q2.real, cfg.q2.imag,
                        cfg.q3.real, cfg.q3.imag, *deltas, nested]
-                writer.writerow([_fmt(v) for v in row + [vals[k] for k in extra_keys]])
+                writer.writerow(row + [vals[k] for k in extra_keys])
         if extra_keys is None:
             writer.writerow(header)
     finally:
@@ -377,8 +378,3 @@ def write_orbit_csv(orbits: list[list[QTriple]], out, extra=None) -> int:
             fh.close()
     return flagged
 
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")

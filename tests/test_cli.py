@@ -168,6 +168,27 @@ class TestCombine:
         got = np.array([[re + 1j * im for re, im in row] for row in rep["state"]])
         assert_allclose(got, combine3_closed(*rhos, q).mat, atol=1e-12)
 
+    def test_verify_runs_each_mode_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("combine3_closed", "combine3_magic", "combine3_bruteforce"):
+            def counted(*args, f=getattr(cli, name), name=name):
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(cli, name, counted)
+        rhos = [random_density(2, seed=s) for s in range(3)]
+        states = states_file(tmp_path, "s.json", [r.mat for r in rhos])
+        params = write_json(tmp_path, "p.json", {"q": random_qtriple(5).to_json()})
+        rc, doc = run(capsys, "combine", "--states", states, "--params", params, "--verify")
+        assert rc == 0 and report_of(doc)["verify"]["max_mode_diff"] < 1e-10
+        assert sorted(calls) == ["combine3_bruteforce", "combine3_closed", "combine3_magic"]
+
+    def test_verify_beyond_brute_force_cap_is_domain_error(self, tmp_path, capsys):
+        states = states_file(tmp_path, "s.json", [np.eye(9) / 9] * 3)
+        params = write_json(tmp_path, "p.json", {"q": random_qtriple(5).to_json()})
+        rc = main(["combine", "--states", states, "--params", params, "--verify"])
+        assert rc == 3
+        assert "capped at local dimension 8" in capsys.readouterr().err
+
     def test_bloch_reported_for_qubits(self, tmp_path, capsys):
         rhos = [DensityMatrix.from_bloch(1, 0, 0), DensityMatrix.from_bloch(0, 1, 0),
                 DensityMatrix.from_bloch(0, 0, 1)]
@@ -470,25 +491,50 @@ class TestFlatSearch:
         assert rc == 2
 
 
-@pytest.mark.parametrize("command", ["synth", "combine", "orbit", "epi-scan", "flat-search"])
-def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+COMMANDS = ["synth", "combine", "orbit", "epi-scan", "flat-search"]
+
+
+def quick_args(tmp_path, command) -> list:
+    """Arguments, all but --out, for a run of ``command`` that takes well under a second."""
     if command == "synth":
-        argv = ["--config", write_json(tmp_path, "c.json",
+        return ["--config", write_json(tmp_path, "c.json",
                                        {"group": "s3", "blocks": IDENTITY_BLOCKS})]
-    elif command == "combine":
-        argv = ["--states", states_file(tmp_path, "s.json", [np.eye(2) / 2] * 2),
+    if command == "combine":
+        return ["--states", states_file(tmp_path, "s.json", [np.eye(2) / 2] * 2),
                 "--params", write_json(tmp_path, "p.json", {"lambda": 0.5})]
-    elif command == "orbit":
-        argv = ["--config", write_json(tmp_path, "c.json", {"p": [0.5, 0.3, 0.2]}),
+    if command == "orbit":
+        return ["--config", write_json(tmp_path, "c.json", {"p": [0.5, 0.3, 0.2]}),
                 "--steps", "60"]
-    elif command == "epi-scan":
-        argv = ["--n", "2", "--samples", "5"]
-    else:
-        argv = ["--attempts", "1"]
-    rc = main([command, *argv, "--out", str(tmp_path / "missing" / "out")])
+    if command == "epi-scan":
+        return ["--n", "2", "--samples", "5"]
+    return ["--attempts", "1"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    rc = main([command, *quick_args(tmp_path, command),
+               "--out", str(tmp_path / "missing" / "out")])
     err = capsys.readouterr().err
     assert rc == 2
     assert "qmix: cannot write" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_bytes_repeat_outside_timing(tmp_path, capsys, command):
+    # orbit prints its report and writes the CSV to --out; the others write the report there
+    out = tmp_path / "out"
+    argv = [command, *quick_args(tmp_path, command), "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        text = printed if command == "orbit" else out.read_text()
+        # the report is the standard json encoding, not a hand-written one
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+        kept, cut, _ = text.partition('\n  "timing": ')  # timing is the last member
+        assert cut
+        runs.append((kept, out.read_text() if command == "orbit" else None))
+    assert runs[0] == runs[1]
 
 
 def test_failed_out_write_keeps_old_file(tmp_path, capsys, monkeypatch):

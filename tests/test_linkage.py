@@ -173,6 +173,18 @@ class TestSolveConfigs:
                         closed += 1
         assert closed > 0
 
+    @pytest.mark.parametrize("solve", [lambda spec, r: solve_configs(spec, r, 0.0),
+                                       lambda spec, r: orbit_trace(spec, 60, r)],
+                             ids=["solve_configs", "orbit_trace"])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_nan_assignment_is_rejected(self, solve, slot):
+        # in sorted order the NaN stays in its slot, so every other length lines up
+        spec, _ = LinkageSpec.from_weights((0.6, 0.3, 0.1))
+        r = list(spec.lengths())
+        r[slot] = float("nan")
+        with pytest.raises(ValueError, match="assignment must be a permutation"):
+            solve(spec, r)
+
     def test_zero_bar(self):
         spec, _ = LinkageSpec.from_weights((0.0, 0.5, 0.5))
         cfgs = solve_configs(spec, theta=0.0)
@@ -361,6 +373,23 @@ class TestCsvExport:
             return {"w1": abs(cfg.q1) ** 2}
         write_orbit_csv(orbits, io.StringIO(), extra=extra)
         assert len(calls) == sum(len(o) for o in orbits)
+
+    @pytest.mark.parametrize("p", [UNIFORM, (0.6, 0.3, 0.1), (0.01, 0.36, 0.63)])
+    def test_cells_read_back_exactly(self, p):
+        spec, assignment = LinkageSpec.from_weights(p)
+        orbits = orbit_trace(spec, 120, assignment)
+        buf = io.StringIO()
+        write_orbit_csv(orbits, buf, extra=lambda cfg: {"w1": abs(cfg.q1) ** 2})
+        rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
+        cfgs = [(i, step, cfg) for i, o in enumerate(orbits) for step, cfg in enumerate(o)]
+        assert len(rows) == len(cfgs)
+        for row, (orbit_id, step, cfg) in zip(rows, cfgs):
+            assert [int(row[0]), int(row[1])] == [step, orbit_id]
+            assert int(row[11]) in (0, 1)
+            expect = [cfg.q1.real, cfg.q1.imag, cfg.q2.real, cfg.q2.imag,
+                      cfg.q3.real, cfg.q3.imag, *config_deltas(cfg)]
+            assert [float(v) for v in row[2:11]] == expect
+            assert float(row[12]) == abs(cfg.q1) ** 2
 
     def test_extra_columns(self):
         orbits = orbit_trace(uniform_spec(), steps=60)

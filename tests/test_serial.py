@@ -20,6 +20,22 @@ class TestDumps:
         with pytest.raises(ValueError):
             dumps({"x": math.nan})
 
+    def test_integral_floats_stay_floats(self):
+        back = json.loads(dumps({"x": 1.0, "y": 1e16}))
+        assert back == {"x": 1.0, "y": 1e16}
+        assert all(type(v) is float for v in back.values())
+
+    def test_floats_round_trip_exactly(self):
+        # random bit patterns of both signs; clearing the exponent makes subnormals
+        bits = np.random.default_rng(0).integers(0, 2**64, size=2000, dtype=np.uint64)
+        subnormal = bits[:200] & np.uint64(0x800F_FFFF_FFFF_FFFF)
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 0.1, 1e16, 1e-5]
+        x = np.concatenate([bits.view(float), subnormal.view(float), edge])
+        x = x[np.isfinite(x)]
+        back = np.array(json.loads(dumps(x.tolist())), dtype=float)
+        assert_array_equal(back.view(np.uint64), x.view(np.uint64))
+
 
 class TestCodec:
     def test_pairs_any_shape(self):
