@@ -317,9 +317,9 @@ def _cmd_orbit(args) -> int:
         rhos = (DensityMatrix.from_bloch(1, 0, 0), DensityMatrix.from_bloch(0, 1, 0),
                 DensityMatrix.from_bloch(0, 0, 1))
 
-        def extra(q: QTriple) -> dict:
-            x, y, z = bloch_vector(combine3_closed(*rhos, q))
-            return {"bloch_x": x, "bloch_y": y, "bloch_z": z}
+        def extra(orbit: np.ndarray) -> dict:
+            b = np.array([bloch_vector(combine3_closed(*rhos, QTriple(*q))) for q in orbit])
+            return dict(zip(("bloch_x", "bloch_y", "bloch_z"), b.reshape(-1, 3).T))
     with _writing(args.out) as tmp:
         flagged = write_orbit_csv(orbits, tmp, extra=extra)
     report = {

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._serial import complexes, pairs, reals
 from .groups import CoeffVector, Perm, symmetric_group
-from .irreps import NonUnitaryBlock, extract_blocks, irreps_s3, tensor_rep
+from .irreps import extract_blocks, irreps_s3, tensor_rep
 from .states import DensityMatrix, commutator, partial_trace, tensor
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "PDelta",
     "S3Coeffs",
     "NestedSpec",
-    "NonUnitaryCoefficients",
     "GaugeViolation",
     "DegenerateWeight",
     "DegenerateOuterWeight",
@@ -72,10 +71,6 @@ _S3_IRREPS = irreps_s3()
 _SWAP_PERM = Perm((2, 1))
 
 
-class NonUnitaryCoefficients(ValueError):
-    """Coefficient vector does not give a unitary group-algebra element."""
-
-
 class GaugeViolation(ValueError):
     """Coefficients are not in the real/imaginary split gauge."""
 
@@ -112,6 +107,20 @@ def _is_probability_triple(p: np.ndarray) -> bool:
 # parameter types
 
 
+def _closure_sums(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum |q_i|^2, sum q_i) over the last axis: both 1 on a q-triple in the sum-one gauge."""
+    return (np.abs(q) ** 2).sum(axis=-1), q.sum(axis=-1)
+
+
+def _closed_rows(q) -> np.ndarray:
+    """q as a complex (..., 3) array, each row checked as a QTriple in the sum-one gauge."""
+    q = np.asarray(q, dtype=complex)
+    norm, total = _closure_sums(q)
+    if not ((abs(norm - 1) <= _CONSTRAINT_TOL) & (abs(total - 1) <= _CONSTRAINT_TOL)).all():
+        raise ValueError("rows are not q-triples with sum |q_i|^2 = 1 and sum q_i = 1")
+    return q
+
+
 @dataclass(frozen=True)
 class QTriple:
     """Complex triple with sum |q_i|^2 = 1 and sum q_i = 1.
@@ -127,10 +136,9 @@ class QTriple:
 
     def __post_init__(self):
         q = np.array([self.q1, self.q2, self.q3], dtype=complex)
-        norm = np.abs(q) @ np.abs(q)
+        norm, total = _closure_sums(q)
         if not abs(norm - 1) <= _CONSTRAINT_TOL:  # written so that NaN fails
             raise ValueError(f"sum |q_i|^2 = {norm:.12g}, not 1")
-        total = q.sum()
         if not abs(abs(total) - 1) <= _CONSTRAINT_TOL:
             raise ValueError(f"|q1+q2+q3| = {abs(total):.12g}, not 1")
         if abs(total - 1) > _CONSTRAINT_TOL:
@@ -213,10 +221,8 @@ class S3Coeffs:
         return CoeffVector(_S3, self.z.copy())
 
     def validate_unitary(self) -> None:
-        try:
-            extract_blocks(self.as_coeffvector(), _S3_IRREPS)
-        except NonUnitaryBlock as exc:
-            raise NonUnitaryCoefficients(str(exc)) from exc
+        """Raise NonUnitaryBlock unless every irrep block is unitary."""
+        extract_blocks(self.as_coeffvector(), _S3_IRREPS)
 
     def independence_residual(self) -> float:
         """Max |Re(z_i conj(z_{i+3}))|; zero when first-order weights are state-independent."""
@@ -468,17 +474,11 @@ def pdelta_from_q(q: QTriple) -> PDelta:
     return PDelta(tuple(p), tuple(float(d) for d in wrap_angle(ph - ph[[1, 2, 0]])))
 
 
-def q_from_pdelta(pd: PDelta, global_phase: float = 0.0) -> QTriple:
-    """Rebuild the q-triple from weights and phase differences.
-
-    ``global_phase`` is the free base phase given to q_1 before gauge
-    fixing; the sum-one gauge rotation cancels it, so the result does
-    not depend on it (kept as an explicit knob to make that invariance
-    testable).
-    """
+def q_from_pdelta(pd: PDelta) -> QTriple:
+    """Rebuild the q-triple from weights and phase differences (gauge fixed by QTriple)."""
     p = np.asarray(pd.p, dtype=float)
     d12, _, d31 = pd.deltas
-    phases = np.array([global_phase, global_phase - d12, global_phase + d31])
+    phases = np.array([0.0, -d12, d31])
     q = np.exp(1j * phases) * np.sqrt(np.maximum(p, 0.0))
     return QTriple(*q)
 

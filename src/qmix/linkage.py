@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import QTriple, _is_probability_triple, cos_vanishes, wrap_angle
+from .combine import QTriple, _closed_rows, _is_probability_triple, cos_vanishes, wrap_angle
 
 __all__ = [
     "LinkageSpec",
@@ -133,26 +133,25 @@ def _config_at(r1: float, r2: float, r3: float, theta: float, branch: int) -> np
     return np.array([q1, q2, w - q2])
 
 
-def config_deltas(cfg: QTriple) -> tuple[float, float, float]:
-    """Phase differences (d12, d23, d31) of a configuration; NaN on zero bars."""
-    q = cfg.as_array()
-    if np.abs(q).min() < _ZERO_RADIUS:
-        return (float("nan"),) * 3
+def config_deltas(q) -> np.ndarray:
+    """Phase differences (d12, d23, d31) over the last axis of bars; NaN rows on zero bars."""
+    q = np.asarray(q)
     ph = np.angle(q)
-    return tuple(float(d) for d in wrap_angle(ph - ph[[1, 2, 0]]))
+    deltas = wrap_angle(ph - ph[..., [1, 2, 0]])
+    return np.where((np.abs(q) < _ZERO_RADIUS).any(axis=-1, keepdims=True), np.nan, deltas)
 
 
-def _degenerate_orbits(r1, r2, r3) -> list[list[QTriple]]:
-    """Point orbits when some bar has zero length."""
+def _degenerate_orbits(r1, r2, r3) -> list[list]:
+    """Point orbits when some bar has zero length, each a list of bar triples."""
     zero = [r < _ZERO_RADIUS for r in (r1, r2, r3)]
     if sum(zero) >= 2:
         # two zero bars force the third to span the ground bar exactly
         q = [0j, 0j, 0j]
         q[zero.index(False)] = 1.0 + 0j
-        return [[QTriple(*q)]]
+        return [[q]]
     if zero[0]:
         spec = LinkageSpec(*np.sort([r1, r2, r3]))
-        return [[c] for c in solve_configs(spec, (r1, r2, r3), 0.0)]
+        return [[c.as_array()] for c in solve_configs(spec, (r1, r2, r3), 0.0)]
     # zero bar in slot 2 or 3: the remaining pair meets at discrete crank angles
     other = r3 if zero[1] else r2
     t = (1.0 + r1 * r1 - other * other) / (2.0 * r1)
@@ -165,7 +164,7 @@ def _degenerate_orbits(r1, r2, r3) -> list[list[QTriple]]:
     for th in angles:
         q1 = r1 * np.exp(1j * th)
         rest = 1.0 - q1
-        orbits.append([QTriple(q1, 0j, rest) if zero[1] else QTriple(q1, rest, 0j)])
+        orbits.append([(q1, 0j, rest) if zero[1] else (q1, rest, 0j)])
     return orbits
 
 
@@ -188,8 +187,8 @@ def _nested_configs(spec: LinkageSpec, r: tuple[float, float, float]) -> list[np
     return out
 
 
-def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[QTriple]]:
-    """Ordered configurations around each connected component.
+def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarray]:
+    """Ordered configurations around each connected component, as (m, 3) bar arrays.
 
     Walks the crank angle over its feasible range and stitches the two
     intersection branches into closed loops (they meet where the moving
@@ -198,12 +197,13 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[QTr
     angle; extra points are inserted by bisection where a uniform grid
     is too coarse.  The nested configurations (some cos(delta_ij) = 0)
     are solved in closed form and inserted where the loop passes them.
+    Every row is checked against the QTriple constraints in one pass.
     """
     if steps < 12:
         raise ValueError("steps must be >= 12")
     r1, r2, r3 = _check_assignment(spec, assignment)
     if min(r1, r2, r3) < _ZERO_RADIUS:
-        return _degenerate_orbits(r1, r2, r3)
+        return [_closed_rows(o) for o in _degenerate_orbits(r1, r2, r3)]
 
     lo = (1.0 + r1 * r1 - (r2 + r3) ** 2) / (2.0 * r1)
     hi = (1.0 + r1 * r1 - (r2 - r3) ** 2) / (2.0 * r1)
@@ -255,7 +255,7 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[QTr
     nested = [(q, float(np.angle(q[0])), +1 if np.imag(q[1] * np.conj(1.0 - q[0])) >= 0 else -1)
               for q in _nested_configs(spec, (r1, r2, r3))]
     max_gap = 2.0 * np.pi * 3.0 / steps
-    out: list[list[QTriple]] = []
+    out: list[np.ndarray] = []
     for pts in loops:
         # refine until every adjacent pair, wraparound included, respects the bar-angle bound
         cfgs = [build(pt) for pt in pts]
@@ -290,7 +290,7 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[list[QTr
         for i, cfg in enumerate(cfgs):
             rows.append(cfg)
             rows.extend(q for _, q in sorted(inserts.get(i, []), key=lambda e: e[0]))
-        out.append([QTriple(*q) for q in rows])
+        out.append(_closed_rows(rows))
     return out
 
 
@@ -342,39 +342,35 @@ def orbit_count_bruteforce(spec: LinkageSpec, resolution: int = 400) -> int:
     return len({find(k) for k in range(idx.size)})
 
 
-def write_orbit_csv(orbits: list[list[QTriple]], out, extra=None) -> int:
+def write_orbit_csv(orbits: list[np.ndarray], out, extra=None) -> int:
     """CSV rows per traced configuration; returns the number flagged nested.
 
     Columns: step, orbit, Re/Im of each bar, the three deltas, and a
     nested flag (1 when some cos delta_ij vanishes, see
-    ``combine.cos_vanishes``).  ``extra`` may map a config to additional
-    columns; it is called once per row, and the first row's keys name
-    the columns.  ``out`` is a path or a file-like object.
+    ``combine.cos_vanishes``).  ``orbits`` are (m, 3) bar arrays as
+    ``orbit_trace`` returns them.  ``extra`` may add columns: it is called
+    once per orbit with that orbit's rows and returns a dict from column
+    name to an (m,) column; the first orbit's keys name the columns.
+    ``out`` is a path or a file-like object.
     """
+    orbits = [np.ascontiguousarray(o, dtype=complex) for o in orbits]
+    columns = [extra(o) if extra is not None else {} for o in orbits]
+    keys = list(columns[0]) if columns else []
     fh = open(out, "w", newline="") if isinstance(out, (str, bytes, os.PathLike)) else out
     flagged = 0
     try:
-        header = ["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2",
-                  "re_q3", "im_q3", "delta12", "delta23", "delta31", "nested"]
-        extra_keys: list[str] | None = None
         writer = csv.writer(fh)
-        for orbit_id, orbit in enumerate(orbits):
-            for step, cfg in enumerate(orbit):
-                vals = extra(cfg) if extra is not None else {}
-                if extra_keys is None:
-                    extra_keys = list(vals)
-                    writer.writerow(header + extra_keys)
-                deltas = config_deltas(cfg)
-                nested = int(cos_vanishes(deltas).any())
-                flagged += nested
-                row = [step, orbit_id,
-                       cfg.q1.real, cfg.q1.imag, cfg.q2.real, cfg.q2.imag,
-                       cfg.q3.real, cfg.q3.imag, *deltas, nested]
-                writer.writerow(row + [vals[k] for k in extra_keys])
-        if extra_keys is None:
-            writer.writerow(header)
+        writer.writerow(["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2",
+                         "re_q3", "im_q3", "delta12", "delta23", "delta31", "nested"] + keys)
+        for orbit_id, (orbit, cols) in enumerate(zip(orbits, columns)):
+            deltas = config_deltas(orbit)
+            nested = cos_vanishes(deltas).any(axis=-1)
+            flagged += int(np.count_nonzero(nested))
+            cells = np.column_stack([orbit.view(float), deltas] + [cols[k] for k in keys])
+            for step, (row, flag) in enumerate(zip(cells, nested.tolist())):
+                row = row.tolist()  # one row at a time: Python floats, per-row memory
+                writer.writerow([step, orbit_id, *row[:9], int(flag), *row[9:]])
     finally:
         if fh is not out:
             fh.close()
     return flagged
-

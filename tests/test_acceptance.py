@@ -234,10 +234,9 @@ def test_09_mub_bloch_formula_through_cli(tmp_path, capsys):
 
     worst = 0.0
     for cfg in configs:
-        qa = cfg.as_array()
         params_path = tmp_path / "q.json"
         params_path.write_text(json.dumps(
-            {"q": [[v.real, v.imag] for v in qa]}))
+            {"q": [[v.real, v.imag] for v in cfg.tolist()]}))
         rc = main(["combine", "--states", str(states_path),
                    "--params", str(params_path)])
         assert rc == 0

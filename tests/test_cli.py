@@ -305,23 +305,28 @@ class TestOrbit:
         assert lines[0].startswith("step,orbit,re_q1")
 
     def test_mub_columns(self, tmp_path, capsys):
-        cfg = write_json(tmp_path, "c.json", {"p": [1 / 3, 1 / 3, 1 / 3]})
+        # two orbits: every row's Bloch columns belong to that row's own q
+        cfg = write_json(tmp_path, "c.json", {"p": [0.01, 0.36, 0.63]})
         out = tmp_path / "trace.csv"
         rc, doc = run(capsys, "orbit", "--config", cfg, "--steps", "120",
                       "--out", str(out), "--mub")
         assert rc == 0
+        assert report_of(doc)["orbits"] == 2
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
         assert header[-3:] == ["bloch_x", "bloch_y", "bloch_z"]
-        row = lines[1].split(",")
         from qmix.combine import QTriple
-        q = QTriple(complex(float(row[2]), float(row[3])),
-                    complex(float(row[4]), float(row[5])),
-                    complex(float(row[6]), float(row[7])))
         rhos = [DensityMatrix.from_bloch(1, 0, 0), DensityMatrix.from_bloch(0, 1, 0),
                 DensityMatrix.from_bloch(0, 0, 1)]
-        expect = bloch_vector(combine3_closed(*rhos, q))
-        assert_allclose([float(v) for v in row[-3:]], expect, atol=1e-9)
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == report_of(doc)["rows"]
+        assert {row[1] for row in rows} == {"0", "1"}
+        for row in rows:
+            q = QTriple(complex(float(row[2]), float(row[3])),
+                        complex(float(row[4]), float(row[5])),
+                        complex(float(row[6]), float(row[7])))
+            expect = bloch_vector(combine3_closed(*rhos, q))
+            assert tuple(float(v) for v in row[-3:]) == expect
 
     def test_bad_weights(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"p": [0.5, 0.5, 0.5]})

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qmix.combine import (
     NestedSpec,
@@ -210,16 +210,15 @@ class TestOrbitTrace:
         orbits = orbit_trace(uniform_spec(), steps=240)
         for loop in orbits:
             for cfg in loop:
-                qa = cfg.as_array()
-                assert abs(qa.sum() - 1) < 1e-8
-                assert abs((np.abs(qa) ** 2).sum() - 1) < 1e-8
+                assert abs(cfg.sum() - 1) < 1e-8
+                assert abs((np.abs(cfg) ** 2).sum() - 1) < 1e-8
 
     def test_angle_gaps_bounded(self):
         steps = 240
         orbits = orbit_trace(uniform_spec(), steps=steps)
         max_gap = 2 * np.pi * 3 / steps
         for loop in orbits:
-            angles = np.array([[np.angle(z) for z in cfg.as_array()]
+            angles = np.array([[np.angle(z) for z in cfg]
                                for cfg in loop])
             wrapped = np.concatenate([angles, angles[:1]], axis=0)
             diffs = np.diff(wrapped, axis=0)
@@ -233,7 +232,7 @@ class TestOrbitTrace:
         for steps in (120, 1200):
             max_gap = 2 * np.pi * 3 / steps
             for loop in orbit_trace(spec, steps, assignment):
-                angles = np.angle([cfg.as_array() for cfg in loop])
+                angles = np.angle(loop)
                 diffs = np.diff(np.vstack([angles, angles[:1]]), axis=0)
                 diffs = (diffs + np.pi) % (2 * np.pi) - np.pi
                 assert np.abs(diffs).max() <= max_gap + 1e-9
@@ -243,8 +242,7 @@ class TestOrbitTrace:
         orbits = orbit_trace(spec, steps=400)
         assert len(orbits) == 2
         # the loops are complex-conjugate mirrors of each other
-        pts0 = np.array([cfg.as_array() for cfg in orbits[0]])
-        pts1 = np.array([cfg.as_array() for cfg in orbits[1]])
+        pts0, pts1 = orbits
         for row in pts0[:: max(1, len(pts0) // 25)]:
             d = np.abs(pts1 - np.conj(row)[None, :]).max(axis=1).min()
             assert d < 0.05
@@ -254,7 +252,7 @@ class TestOrbitTrace:
         orbits = orbit_trace(spec, steps=100, assignment=assignment)
         assert len(orbits) == 1
         assert len(orbits[0]) == 1
-        assert_allclose(orbits[0][0].as_array(), [1, 0, 0], atol=1e-9)
+        assert_allclose(orbits[0][0], [1, 0, 0], atol=1e-9)
 
     def test_point_orbits_zero_first_weight(self):
         spec, _ = LinkageSpec.from_weights((0.0, 0.5, 0.5))
@@ -262,7 +260,7 @@ class TestOrbitTrace:
         assert len(orbits) == 2
         for loop in orbits:
             assert len(loop) == 1
-            assert abs(loop[0].q1) < 1e-9
+            assert abs(loop[0][0]) < 1e-9
 
     def test_step_floor(self):
         with pytest.raises(ValueError):
@@ -364,37 +362,48 @@ class TestCsvExport:
         write_orbit_csv(orbits, out)
         assert out.read_text().startswith("step,orbit,")
 
-    def test_extra_called_once_per_row(self):
-        orbits = orbit_trace(uniform_spec(), steps=60)
+    def test_extra_called_once_per_orbit(self):
+        spec, _ = LinkageSpec.from_weights((0.01, 0.36, 0.63))
+        orbits = orbit_trace(spec, steps=60)
+        assert len(orbits) == 2
         calls = []
 
-        def extra(cfg):
-            calls.append(cfg)
-            return {"w1": abs(cfg.q1) ** 2}
+        def extra(rows):
+            calls.append(rows)
+            return {"w1": np.abs(rows[:, 0]) ** 2}
         write_orbit_csv(orbits, io.StringIO(), extra=extra)
-        assert len(calls) == sum(len(o) for o in orbits)
+        assert len(calls) == len(orbits)
+        for rows, orbit in zip(calls, orbits):
+            assert_array_equal(rows, orbit)
 
-    @pytest.mark.parametrize("p", [UNIFORM, (0.6, 0.3, 0.1), (0.01, 0.36, 0.63)])
+    @pytest.mark.parametrize("p", [UNIFORM, (0.6, 0.3, 0.1), (0.01, 0.36, 0.63),
+                                   (1, 0, 0), (0, 0.5, 0.5), (0.5, 0, 0.5)])
     def test_cells_read_back_exactly(self, p):
         spec, assignment = LinkageSpec.from_weights(p)
         orbits = orbit_trace(spec, 120, assignment)
+        w1 = [np.abs(o[:, 0]) ** 2 for o in orbits]
         buf = io.StringIO()
-        write_orbit_csv(orbits, buf, extra=lambda cfg: {"w1": abs(cfg.q1) ** 2})
+        write_orbit_csv(orbits, buf, extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
         rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
         cfgs = [(i, step, cfg) for i, o in enumerate(orbits) for step, cfg in enumerate(o)]
         assert len(rows) == len(cfgs)
+        # a zero weight leaves a zero bar, and so undefined deltas, in every row
+        assert all((r[8] == "nan") == (min(p) == 0) for r in rows)
         for row, (orbit_id, step, cfg) in zip(rows, cfgs):
             assert [int(row[0]), int(row[1])] == [step, orbit_id]
             assert int(row[11]) in (0, 1)
-            expect = [cfg.q1.real, cfg.q1.imag, cfg.q2.real, cfg.q2.imag,
-                      cfg.q3.real, cfg.q3.imag, *config_deltas(cfg)]
-            assert [float(v) for v in row[2:11]] == expect
-            assert float(row[12]) == abs(cfg.q1) ** 2
+            expect = [cfg[0].real, cfg[0].imag, cfg[1].real, cfg[1].imag,
+                      cfg[2].real, cfg[2].imag, *config_deltas(cfg)]
+            # exact equality, with a nan cell standing where a zero bar leaves a delta undefined
+            assert_array_equal([float(v) for v in row[2:11]], expect)
+            if np.isnan(expect[6:]).any():
+                assert row[8:11] == ["nan"] * 3 and row[11] == "0"
+            assert float(row[12]) == w1[orbit_id][step]
 
     def test_extra_columns(self):
         orbits = orbit_trace(uniform_spec(), steps=60)
         buf = io.StringIO()
-        write_orbit_csv(orbits, buf, extra=lambda cfg: {"w1": abs(cfg.q1) ** 2})
+        write_orbit_csv(orbits, buf, extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
         lines = buf.getvalue().splitlines()
         assert lines[0].endswith(",w1")
         first = lines[1].split(",")
@@ -405,7 +414,7 @@ class TestDeltasAgainstPDelta:
     def test_matches_reference_conversion(self):
         orbits = orbit_trace(uniform_spec(), steps=120)
         for cfg in orbits[0][::10]:
-            q = QTriple(cfg.q1, cfg.q2, cfg.q3)
+            q = QTriple(*cfg)
             if min(q.weights()) < 1e-6:
                 continue
             pd = pdelta_from_q(q)
