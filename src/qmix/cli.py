@@ -34,13 +34,16 @@ from .combine import (
     PDelta,
     QTriple,
     S3Coeffs,
+    _balanced_q_rows,
     combine2,
+    combine2_stacked,
     combine3_bruteforce,
     combine3_closed,
+    combine3_closed_stacked,
     combine3_magic,
     q_from_pdelta,
     q_from_z,
-    random_qtriple,
+    random_qtriple,  # noqa: F401  bench/spans.py wraps it at this binding
     s3_coeffs_from_phases,
     z_from_q,
 )
@@ -55,10 +58,20 @@ from .irreps import (
     synthesize_coeffs,
 )
 from .linkage import LinkageSpec, orbit_trace, write_orbit_csv
-from .states import DensityMatrix, bloch_vector, entropy, get_functional, random_density
+from .states import (
+    DensityMatrix,
+    _bloch_rows,
+    _gram_states,
+    bloch_vector,
+    density_spectra,
+    entropy,  # noqa: F401  bench/spans.py wraps it at this binding
+    get_functional,
+    random_density,  # noqa: F401  bench/spans.py wraps it at this binding
+)
 
 FORMAT_TAG = "qmix/1"
 MAX_CYCLIC_ORDER = 120  # the order of S5, the largest group symmetric_group builds
+SCAN_CHUNK = 256  # epi-scan samples evaluated per stacked call; the report does not depend on it
 
 
 class CliError(Exception):
@@ -298,6 +311,14 @@ def _cmd_combine(args) -> int:
 # orbit
 
 
+def _mub_columns(orbit: np.ndarray) -> dict:
+    """Bloch columns of the ternary mix of the +1 states of X, Y and Z, at each (m, 3) q-row."""
+    rhos = [DensityMatrix.from_bloch(*axis).mat for axis in np.eye(3)]
+    out = combine3_closed_stacked(*rhos, orbit)
+    density_spectra(out)
+    return dict(zip(("bloch_x", "bloch_y", "bloch_z"), _bloch_rows(out).T))
+
+
 def _cmd_orbit(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_json(args.config)
@@ -312,16 +333,8 @@ def _cmd_orbit(args) -> int:
         orbits = orbit_trace(spec, args.steps, assignment)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
-    extra = None
-    if args.mub:
-        rhos = (DensityMatrix.from_bloch(1, 0, 0), DensityMatrix.from_bloch(0, 1, 0),
-                DensityMatrix.from_bloch(0, 0, 1))
-
-        def extra(orbit: np.ndarray) -> dict:
-            b = np.array([bloch_vector(combine3_closed(*rhos, QTriple(*q))) for q in orbit])
-            return dict(zip(("bloch_x", "bloch_y", "bloch_z"), b.reshape(-1, 3).T))
     with _writing(args.out) as tmp:
-        flagged = write_orbit_csv(orbits, tmp, extra=extra)
+        flagged = write_orbit_csv(orbits, tmp, extra=_mub_columns if args.mub else None)
     report = {
         "weights": weights.tolist(),
         "lengths": list(spec.lengths()),
@@ -340,53 +353,74 @@ def _cmd_orbit(args) -> int:
 # epi-scan
 
 
-def _draw(n: int, d: int, seed: int, index: int):
-    """States and parameters of one sample, all from SeedSequence((seed, index)).
+def _draw(n: int, d: int, seed: int, start: int, stop: int):
+    """States (N, n, d, d) and parameters of samples start..stop-1.
 
-    Returns (states, (lam, sign)) for n = 2 and (states, q) for n = 3.
+    Sample i is drawn from SeedSequence((seed, i)) alone: n states as by
+    ``random_density(d)``, then (lam, sign) for n = 2 or the q-triple of
+    ``random_qtriple`` for n = 3, in the same stream.  Returns (states,
+    (lam, sign)) with (N,) arrays for n = 2 and (states, q) with (N, 3)
+    q-rows for n = 3.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    states = [random_density(d, seed=rng) for _ in range(n)]
+    normals, first, second = [], [], []
+    for i in range(start, stop):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        normals.append(rng.normal(size=n * 2 * d * d))
+        if n == 2:
+            first.append(rng.uniform())
+            second.append(+1 if rng.integers(2) == 0 else -1)
+        else:
+            first.append(rng.uniform(0, 2 * np.pi))
+            second.append(rng.normal(size=4))
+    states = _gram_states(np.reshape(normals, (-1, n, 2, d, d)))
     if n == 2:
-        lam = float(rng.uniform())
-        sign = +1 if rng.integers(2) == 0 else -1
-        return states, (lam, sign)
-    return states, random_qtriple(rng)
+        return states, (np.array(first), np.array(second))
+    return states, _balanced_q_rows(np.array(first), np.reshape(second, (-1, 4)))
+
+
+def _scan_gaps(n: int, d: int, fname: str, seed: int, start: int, stop: int) -> np.ndarray:
+    """Concavity gaps of samples start..stop-1: entropy of the mix minus the weighted entropies.
+
+    The outputs and inputs are checked and diagonalized in one stacked call.
+    """
+    states, params = _draw(n, d, seed, start, stop)
+    rhos = np.moveaxis(states, 1, 0)
+    if n == 2:
+        lam, sign = params
+        out, weights = combine2_stacked(*rhos, lam, sign), np.stack([lam, 1 - lam], axis=-1)
+    else:
+        out, weights = combine3_closed_stacked(*rhos, params), np.abs(params) ** 2
+    spectra = density_spectra(np.concatenate([out[:, None], states], axis=1))
+    values = get_functional(fname)(np.clip(spectra, 0.0, 1.0))
+    return values[:, 0] - sum(weights[:, k] * values[:, k + 1] for k in range(n))
 
 
 def _scan_sample(n: int, d: int, fname: str, seed: int, index: int) -> float:
-    """Concavity gap of one sample: entropy of the mix minus the weighted entropies."""
-    f = get_functional(fname)
-    states, params = _draw(n, d, seed, index)
-    if n == 2:
-        lam, sign = params
-        out, weights = combine2(*states, lam, sign), (lam, 1 - lam)
-    else:
-        out, weights = combine3_closed(*states, params), params.weights()
-    return entropy(f, out) - sum(w * entropy(f, r) for w, r in zip(weights, states))
+    """Concavity gap of one sample, as a batch of one."""
+    return float(_scan_gaps(n, d, fname, seed, index, index + 1)[0])
 
 
 def _scan_range(packed) -> tuple[float, int, int]:
     n, d, fname, seed, start, stop = packed
     best, best_idx, neg = np.inf, -1, 0
-    for i in range(start, stop):
-        gap = _scan_sample(n, d, fname, seed, i)
-        if gap < best:
-            best, best_idx = gap, i
-        if gap < 0:
-            neg += 1
+    for lo in range(start, stop, SCAN_CHUNK):
+        gaps = _scan_gaps(n, d, fname, seed, lo, min(lo + SCAN_CHUNK, stop))
+        k = int(np.argmin(np.where(np.isnan(gaps), np.inf, gaps)))  # first minimum, NaN skipped
+        if gaps[k] < best:
+            best, best_idx = float(gaps[k]), lo + k
+        neg += int(np.count_nonzero(gaps < 0))
     return best, best_idx, neg
 
 
 def _sample_detail(n: int, d: int, seed: int, index: int) -> dict:
     """Reproduction record for one sample (used for argmin and counterexamples)."""
-    states, params = _draw(n, d, seed, index)
+    states, params = _draw(n, d, seed, index, index + 1)
     detail: dict = {"sample_index": index, "seed_path": [seed, index],
-                    "states": [r.to_json() for r in states]}
+                    "states": [pairs(r) for r in states[0]]}
     if n == 2:
-        detail["lambda"], detail["sign"] = params
+        detail["lambda"], detail["sign"] = float(params[0][0]), int(params[1][0])
     else:
-        detail["q"] = params.to_json()
+        detail["q"] = pairs(params[0])
     return detail
 
 

@@ -10,6 +10,11 @@ cross-checked in the tests:
 * ``combine3_magic``      — the explicit 36-term operator expansion;
 * ``combine3_closed``     — the nine-term closed form in the q-parametrization.
 
+The closed form and the binary partial swap are evaluated on stacks:
+``combine3_closed_stacked`` and ``combine2_stacked`` take (..., d, d)
+states and broadcast parameters, and the single-state entry points are
+batches of one.
+
 The q-triple (sum |q_i|^2 = 1, sum q_i = 1), its polar (p, delta) form,
 and nested two-level binary expressions are interconvertible here, with
 the vanishing-cosine criterion deciding nestedness.
@@ -39,10 +44,12 @@ __all__ = [
     "partial_swap_unitary",
     "partial_swap_params",
     "combine2",
+    "combine2_stacked",
     "combine2_bruteforce",
     "combine3_bruteforce",
     "combine3_magic",
     "combine3_closed",
+    "combine3_closed_stacked",
     "combine3_pdelta",
     "s3_coeffs_from_phases",
     "q_from_z",
@@ -112,6 +119,14 @@ def _closure_sums(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.abs(q) ** 2).sum(axis=-1), q.sum(axis=-1)
 
 
+def _sum_one_gauge(q: np.ndarray) -> np.ndarray:
+    """Rows with |sum q_i| = 1 rotated so that sum q_i = 1; rows already within tolerance are kept."""
+    total = q.sum(axis=-1, keepdims=True)
+    # np.hypot is what abs() of one complex computes; the array abs may round differently
+    return np.where(abs(total - 1) > _CONSTRAINT_TOL,
+                    q * (np.conj(total) / np.hypot(total.real, total.imag)), q)
+
+
 def _closed_rows(q) -> np.ndarray:
     """q as a complex (..., 3) array, each row checked as a QTriple in the sum-one gauge."""
     q = np.asarray(q, dtype=complex)
@@ -141,11 +156,8 @@ class QTriple:
             raise ValueError(f"sum |q_i|^2 = {norm:.12g}, not 1")
         if not abs(abs(total) - 1) <= _CONSTRAINT_TOL:
             raise ValueError(f"|q1+q2+q3| = {abs(total):.12g}, not 1")
-        if abs(total - 1) > _CONSTRAINT_TOL:
-            q = q * (np.conj(total) / abs(total))
-            object.__setattr__(self, "q1", complex(q[0]))
-            object.__setattr__(self, "q2", complex(q[1]))
-            object.__setattr__(self, "q3", complex(q[2]))
+        for name, value in zip(("q1", "q2", "q3"), _sum_one_gauge(q).tolist()):
+            object.__setattr__(self, name, value)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q1, self.q2, self.q3], dtype=complex)
@@ -278,13 +290,20 @@ def partial_swap_unitary(lam: float, d: int, sign: int = +1) -> np.ndarray:
 
 def combine2(rho1: DensityMatrix, rho2: DensityMatrix, lam: float, sign: int = +1) -> DensityMatrix:
     """Binary mix: lam*rho1 + (1-lam)*rho2 + sign*sqrt(lam(1-lam)) i[rho2, rho1]."""
-    if rho1.dim != rho2.dim:
-        raise ValueError("dimension mismatch")
-    if not 0 <= lam <= 1:
+    return DensityMatrix(combine2_stacked(*_mats(rho1, rho2), [lam], [sign])[0])
+
+
+def combine2_stacked(r1: np.ndarray, r2: np.ndarray, lam, sign) -> np.ndarray:
+    """``combine2`` on (..., d, d) state stacks, with (...) lam and sign broadcast against them.
+
+    Returns the (..., d, d) outputs unvalidated (see ``states.density_spectra``).
+    """
+    lam = np.asarray(lam, dtype=float)[..., None, None]
+    sign = np.asarray(sign)[..., None, None]
+    if not ((0 <= lam) & (lam <= 1)).all():
         raise ValueError("lambda must lie in [0, 1]")
-    out = (lam * rho1.mat + (1 - lam) * rho2.mat
-           + sign * np.sqrt(lam * (1 - lam)) * 1j * commutator(rho2.mat, rho1.mat))
-    return DensityMatrix(out)
+    return (lam * r1 + (1 - lam) * r2
+            + sign * np.sqrt(lam * (1 - lam)) * 1j * commutator(r2, r1))
 
 
 def combine2_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, lam: float,
@@ -370,27 +389,41 @@ def combine3_magic(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix
     return DensityMatrix(out)
 
 
-def _third_order_block(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray,
-                       q: np.ndarray) -> np.ndarray:
-    x12, x23, x31 = (np.real(q[0] * np.conj(q[1])), np.real(q[1] * np.conj(q[2])),
-                     np.real(q[2] * np.conj(q[0])))
-    return (x12 * (r2 @ r3 @ r1 + r1 @ r3 @ r2)
-            + x23 * (r3 @ r1 @ r2 + r2 @ r1 @ r3)
-            + x31 * (r1 @ r2 @ r3 + r3 @ r2 @ r1))
-
-
 def combine3_closed(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
                     q: QTriple) -> DensityMatrix:
-    """Nine-term closed form of the ternary channel in the q-parametrization."""
-    r1, r2, r3 = _mats(rho1, rho2, rho3)
-    qa = q.as_array()
-    w = np.abs(qa) ** 2
-    out = w[0] * r1 + w[1] * r2 + w[2] * r3
-    out = out + np.imag(qa[0] * np.conj(qa[1])) * 1j * commutator(r1, r2) \
-              + np.imag(qa[1] * np.conj(qa[2])) * 1j * commutator(r2, r3) \
-              + np.imag(qa[2] * np.conj(qa[0])) * 1j * commutator(r3, r1)
-    out = out + _third_order_block(r1, r2, r3, qa)
-    return DensityMatrix(out)
+    """Nine-term closed form of the ternary channel in the q-parametrization.
+
+    A batch of one of ``combine3_closed_stacked``, which gives the formula;
+    the output is validated as a density matrix.
+    """
+    return DensityMatrix(combine3_closed_stacked(*_mats(rho1, rho2, rho3), q.as_array()[None])[0])
+
+
+def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -> np.ndarray:
+    """``combine3_closed`` on (..., d, d) state stacks, with (..., 3) q-rows broadcast against them.
+
+    With w_k = |q_k|^2, s_ij = Im(q_i conj q_j) and x_ij = Re(q_i conj q_j)
+    the output is sum_k w_k rho_k + sum s_ij i[rho_i, rho_j] plus the
+    third-order block sum x_ij (rho_j rho_k rho_i + rho_i rho_k rho_j) over
+    the cyclic (i, j, k).  It is quadratic in q; the binary partial swap is
+    its nested special case.  Each row of ``q`` is checked as a q-triple;
+    the (..., d, d) outputs are returned unvalidated (see
+    ``states.density_spectra``).  The q products are spelled out in real
+    arithmetic, so a row does not depend on the others in its stack.
+    """
+    q = _closed_rows(q)[..., None, None]
+    w = np.abs(q) ** 2
+    re, im = q.real, q.imag
+    x12, x23, x31 = (re[..., i, :, :] * re[..., j, :, :] + im[..., i, :, :] * im[..., j, :, :]
+                     for i, j in ((0, 1), (1, 2), (2, 0)))
+    s12, s23, s31 = (im[..., i, :, :] * re[..., j, :, :] - re[..., i, :, :] * im[..., j, :, :]
+                     for i, j in ((0, 1), (1, 2), (2, 0)))
+    p12, p21, p23, p32, p31, p13 = r1 @ r2, r2 @ r1, r2 @ r3, r3 @ r2, r3 @ r1, r1 @ r3
+    out = w[..., 0, :, :] * r1 + w[..., 1, :, :] * r2 + w[..., 2, :, :] * r3
+    out = out + s12 * 1j * (p12 - p21) + s23 * 1j * (p23 - p32) + s31 * 1j * (p31 - p13)
+    return out + (x12 * (p23 @ r1 + p13 @ r2)
+                  + x23 * (p31 @ r2 + p21 @ r3)
+                  + x31 * (p12 @ r3 + p32 @ r1))
 
 
 def combine3_pdelta(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
@@ -413,17 +446,21 @@ def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> S
     """
     if not abs(abs(a) ** 2 + abs(c) ** 2 - 1) <= _CONSTRAINT_TOL:  # written so that NaN fails
         raise ValueError("|a|^2 + |c|^2 must equal 1")
+    return S3Coeffs(_s3_z(*(np.array([x]) for x in (phi1, phi2, a, c)))[0])
+
+
+def _s3_z(phi1: np.ndarray, phi2: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(..., 6) coefficients from elementwise block phases and block rows (a, c), unchecked."""
     e1, e2 = np.exp(1j * phi1), np.exp(1j * phi2)
     r3 = np.sqrt(3)
-    z = np.array([
+    return np.stack([
         (e1 + e2 + 4 * np.real(a)) / 6,
         (e1 + e2 - 2 * np.real(a + r3 * c)) / 6,
         (e1 + e2 - 2 * np.real(a - r3 * c)) / 6,
         (e1 - e2 + 4j * np.imag(a)) / 6,
         (e1 - e2 - 2j * np.imag(a + r3 * c)) / 6,
         (e1 - e2 - 2j * np.imag(a - r3 * c)) / 6,
-    ])
-    return S3Coeffs(z)
+    ], axis=-1)
 
 
 def q_from_z(z: S3Coeffs) -> QTriple:
@@ -433,8 +470,8 @@ def q_from_z(z: S3Coeffs) -> QTriple:
     the pairing loses information and GaugeViolation is raised.  The
     result is rotated into the sum-one gauge by the QTriple constructor.
     """
-    worst = max(float(np.abs(np.imag(z.z[:3])).max()), float(np.abs(np.real(z.z[3:])).max()))
-    if worst > _CONSTRAINT_TOL:
+    worst = np.abs(np.concatenate([z.z[:3].imag, z.z[3:].real])).max()
+    if not worst <= _CONSTRAINT_TOL:  # written so that NaN fails
         raise GaugeViolation(f"coefficients not in the real/imaginary gauge (residual {worst:.3e})")
     q = z.z[:3] + z.z[3:]
     return QTriple(*q)
@@ -509,7 +546,7 @@ def third_order_reduce(q: QTriple) -> tuple[float, float]:
     x = float(np.real(qa[0] * np.conj(qa[1])))
     y = float(np.real(qa[1] * np.conj(qa[2])))
     zsum = x + y + float(np.real(qa[2] * np.conj(qa[0])))
-    if abs(zsum) > _CONSTRAINT_TOL:
+    if not abs(zsum) <= _CONSTRAINT_TOL:  # written so that NaN fails
         raise CoefficientSumNonzero(f"real overlaps sum to {zsum:.3e}")
     return x, y
 
@@ -647,5 +684,16 @@ def random_s3_phases(rng: np.random.Generator, balanced: bool = True
 def random_qtriple(seed=None) -> QTriple:
     """Uniform sample of the constraint manifold via the phase parametrization."""
     rng = np.random.default_rng(seed)
-    phi1, phi2, a, c = random_s3_phases(rng, balanced=True)
-    return q_from_z(s3_coeffs_from_phases(phi1, phi2, a, c))
+    return QTriple(*_balanced_q_rows(rng.uniform(0, 2 * np.pi, 1), rng.normal(size=(1, 4)))[0])
+
+
+def _balanced_q_rows(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(N, 3) q-rows from phases phi1 = -phi2 = phi (N,) and normals v (N, 4).
+
+    (a, c) is v normalized, the draw of ``random_s3_phases``; each row is
+    q_from_z(s3_coeffs_from_phases(phi, -phi, a, c)), value for value.
+    """
+    # each norm as a dot product, as np.linalg.norm takes it for a single vector
+    ac = (v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]).view(complex)
+    z = _s3_z(phi, -phi, ac[:, 0], ac[:, 1])
+    return _sum_one_gauge(z[:, :3] + z[:, 3:])

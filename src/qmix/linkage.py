@@ -350,12 +350,14 @@ def write_orbit_csv(orbits: list[np.ndarray], out, extra=None) -> int:
     ``combine.cos_vanishes``).  ``orbits`` are (m, 3) bar arrays as
     ``orbit_trace`` returns them.  ``extra`` may add columns: it is called
     once per orbit with that orbit's rows and returns a dict from column
-    name to an (m,) column; the first orbit's keys name the columns.
-    ``out`` is a path or a file-like object.
+    name to an (m,) column.  The first orbit's keys name the columns; with
+    no orbits, the keys ``extra`` returns for a (0, 3) array do.  ``out``
+    is a path or a file-like object.
     """
     orbits = [np.ascontiguousarray(o, dtype=complex) for o in orbits]
-    columns = [extra(o) if extra is not None else {} for o in orbits]
-    keys = list(columns[0]) if columns else []
+    extra = extra if extra is not None else (lambda rows: {})
+    columns = [extra(o) for o in orbits] or [extra(np.empty((0, 3), complex))]
+    keys = list(columns[0])
     fh = open(out, "w", newline="") if isinstance(out, (str, bytes, os.PathLike)) else out
     flagged = 0
     try:

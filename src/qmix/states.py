@@ -24,6 +24,7 @@ __all__ = [
     "commutator",
     "double_commutator",
     "random_density",
+    "density_spectra",
     "entropy",
     "bloch_vector",
     "PAULI",
@@ -44,9 +45,8 @@ PAULI = {
 class DensityMatrix:
     """Hermitian, PSD, trace-one complex matrix.
 
-    Validation happens at construction: Hermiticity within 1e-12, trace
-    within 1e-10 of one, and minimum eigenvalue >= -1e-9 (slack for the
-    numerically rounded outputs of the combination maps).
+    Validation happens at construction, by ``density_spectra`` on a stack
+    of one.
     """
 
     __slots__ = ("mat", "dim")
@@ -58,15 +58,7 @@ class DensityMatrix:
         self.mat = M
         self.dim = M.shape[0]
         if check:
-            herm = np.abs(M - M.conj().T).max()
-            if not herm <= _HERM_TOL:  # each check is written so that NaN fails
-                raise ValueError(f"not Hermitian (residual {herm:.3e})")
-            tr = M.trace()
-            if not abs(tr - 1) <= _TRACE_TOL:
-                raise ValueError(f"trace is {tr:.12g}, not 1")
-            lo = np.linalg.eigvalsh(M)[0]
-            if not lo >= _PSD_TOL:
-                raise ValueError(f"negative eigenvalue {lo:.3e}")
+            density_spectra(M[None])
 
     @classmethod
     def pure(cls, psi) -> "DensityMatrix":
@@ -111,6 +103,33 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
+
+
+def density_spectra(M) -> np.ndarray:
+    """Ascending eigenvalues of a (..., d, d) stack of density matrices.
+
+    Raises ValueError unless every matrix is Hermitian within 1e-12, has
+    trace within 1e-10 of one and minimum eigenvalue >= -1e-9 (slack for
+    the numerically rounded outputs of the combination maps).  NaN fails
+    each check; the message quotes the first failing matrix.
+    """
+    M = np.asarray(M, dtype=complex)
+    herm = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-2, -1))
+    _require(herm <= _HERM_TOL, "not Hermitian (residual {:.3e})", herm)
+    tr = M.trace(axis1=-2, axis2=-1)
+    _require(abs(tr - 1) <= _TRACE_TOL, "trace is {:.12g}, not 1", tr)
+    lam = np.linalg.eigvalsh(M)
+    _require(lam[..., 0] >= _PSD_TOL, "negative eigenvalue {:.3e}", lam[..., 0])
+    return lam
+
+
+def _require(ok: np.ndarray, message: str, values: np.ndarray) -> None:
+    """Raise ValueError quoting the first of ``values`` where ``ok`` fails.
+
+    Each check passes ``residual <= tol`` or ``value >= tol`` as ``ok``, so NaN fails it.
+    """
+    if not ok.all():
+        raise ValueError(message.format(values[~ok][0]))
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -173,14 +192,22 @@ def random_density(d: int, rank: int | None = None, seed=None) -> DensityMatrix:
     if not 1 <= rank <= d:
         raise ValueError("rank must satisfy 1 <= rank <= d")
     rng = np.random.default_rng(seed)
-    G = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    M = G @ G.conj().T
-    return DensityMatrix(M / np.real(np.trace(M)), check=False)
+    return DensityMatrix(_gram_states(rng.normal(size=(1, 2, d, rank)))[0], check=False)
+
+
+def _gram_states(x: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) with G = x[..., 0, :, :] + i x[..., 1, :, :]: (..., 2, d, r) to (..., d, d)."""
+    G = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    M = G @ np.conj(np.swapaxes(G, -1, -2))
+    return M / np.real(np.trace(M, axis1=-2, axis2=-1))[..., None, None]
 
 
 @dataclass(frozen=True)
 class EntropyFunctional:
     """A symmetric functional of the spectrum.
+
+    The evaluator maps (..., d) spectra to (...) values, reducing over the
+    last axis, so one call serves a whole stack of states.
 
     ``concave_max_dim`` bounds the dimensions on which concavity is
     promised (and property-tested); None means every dimension.  The
@@ -188,28 +215,27 @@ class EntropyFunctional:
     """
 
     name: str
-    evaluator: Callable[[np.ndarray], float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     concave_max_dim: int | None = None
 
-    def __call__(self, eigenvalues: np.ndarray) -> float:
+    def __call__(self, eigenvalues: np.ndarray) -> np.ndarray:
         return self.evaluator(eigenvalues)
 
 
-def _von_neumann(lam: np.ndarray) -> float:
-    nz = lam[lam > 0]
-    return float(-(nz * np.log(nz)).sum())
+def _von_neumann(lam: np.ndarray) -> np.ndarray:
+    return -(lam * np.log(np.where(lam > 0, lam, 1.0))).sum(axis=-1)  # 0 log 0 = 0
 
 
-def _renyi_half(lam: np.ndarray) -> float:
-    return float(2.0 * np.log(np.sqrt(lam).sum()))
+def _renyi_half(lam: np.ndarray) -> np.ndarray:
+    return 2.0 * np.log(np.sqrt(lam).sum(axis=-1))
 
 
-def _renyi_two(lam: np.ndarray) -> float:
-    return float(-np.log((lam**2).sum()))
+def _renyi_two(lam: np.ndarray) -> np.ndarray:
+    return -np.log((lam**2).sum(axis=-1))
 
 
-def _neg_purity(lam: np.ndarray) -> float:
-    return float(-(lam**2).sum())
+def _neg_purity(lam: np.ndarray) -> np.ndarray:
+    return -(lam**2).sum(axis=-1)
 
 
 ENTROPY_FUNCTIONALS = {
@@ -230,7 +256,7 @@ def get_functional(name: str) -> EntropyFunctional:
 
 def entropy(f: EntropyFunctional, rho: DensityMatrix) -> float:
     """Apply ``f`` to the (clamped) spectrum of ``rho``."""
-    return f(rho.eigenvalues())
+    return float(f(rho.eigenvalues()))
 
 
 def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
@@ -238,4 +264,10 @@ def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
     M = _as_matrix(rho)
     if M.shape != (2, 2):
         raise ValueError("Bloch vector is defined for d = 2 only")
-    return tuple(float(np.real(np.trace(M @ PAULI[ax]))) for ax in ("x", "y", "z"))
+    return tuple(_bloch_rows(M).tolist())
+
+
+def _bloch_rows(M: np.ndarray) -> np.ndarray:
+    """(..., 3) Bloch vectors of a (..., 2, 2) stack of qubit matrices."""
+    return np.stack([np.real(np.trace(M @ PAULI[ax], axis1=-2, axis2=-1))
+                     for ax in ("x", "y", "z")], axis=-1)

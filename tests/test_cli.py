@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ import qmix
 import qmix.cli as cli
 from qmix.cli import main
 from qmix.combine import combine2, combine3_closed, random_qtriple, s3_coeffs_from_phases
+from qmix.linkage import write_orbit_csv
 from qmix.states import DensityMatrix, EntropyFunctional, bloch_vector, random_density
 
 
@@ -50,6 +52,28 @@ def mat_json(M):
 def states_file(tmp_path, name, mats):
     return write_json(tmp_path, name, {"states": [mat_json(m) for m in mats]})
 
+
+# argmin record of `epi-scan --n 3 --d 2 --samples 400 --seed 5`, floats as their repr
+PINNED_ARGMIN = {
+    "sample_index": 215,
+    "seed_path": [5, 215],
+    "states": [
+        [
+            [[0.41298718009135293, 6.186080745605242e-18], [0.22426633095727663, 0.04521313421994132]],
+            [[0.22426633095727663, -0.04521313421994133], [0.587012819908647, -1.1200577987959099e-17]],
+        ],
+        [
+            [[0.8607765846896981, -1.6472607495641603e-17], [0.22379936106395037, 0.12700289371882661]],
+            [[0.22379936106395037, -0.12700289371882661], [0.13922341531030188, -3.8694660851441206e-19]],
+        ],
+        [
+            [[0.7669694707754203, -1.0008647204982951e-18], [0.25567852746013664, 0.11242092936254605]],
+            [[0.25567852746013664, -0.11242092936254605], [0.2330305292245798, -1.6879431643828423e-18]],
+        ],
+    ],
+    "q": [[-0.056286883667021746, -0.07253085166090215], [0.5761733280046412, 0.49803158409042675],
+          [0.4801135556623808, -0.4255007324295247]],
+}
 
 IDENTITY_BLOCKS = {
     "trivial": [[[1.0, 0.0]]],
@@ -328,6 +352,14 @@ class TestOrbit:
             expect = bloch_vector(combine3_closed(*rhos, q))
             assert tuple(float(v) for v in row[-3:]) == expect
 
+    def test_mub_columns_of_no_rows(self):
+        cols = cli._mub_columns(np.empty((0, 3), complex))
+        assert list(cols) == ["bloch_x", "bloch_y", "bloch_z"]
+        assert all(c.shape == (0,) for c in cols.values())
+        buf = io.StringIO()
+        write_orbit_csv([], buf, extra=cli._mub_columns)
+        assert buf.getvalue().strip().split(",")[-3:] == ["bloch_x", "bloch_y", "bloch_z"]
+
     def test_bad_weights(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"p": [0.5, 0.5, 0.5]})
         rc, _ = run(capsys, "orbit", "--config", cfg, "--out",
@@ -414,6 +446,39 @@ class TestEpiScan:
         gap = cli._scan_sample(3, 3, "renyi-0.5", 1, idx)
         assert gap == rep["min_gap"]
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_draw_matches_the_single_samplers(self, d):
+        # sample i is random_density(d) n times, then random_qtriple (or lam, sign), from one stream
+        for n in (2, 3):
+            states, params = cli._draw(n, d, 9, 20, 24)
+            for k, i in enumerate(range(20, 24)):
+                rng = np.random.default_rng(np.random.SeedSequence((9, i)))
+                for mat in states[k]:
+                    np.testing.assert_array_equal(mat, random_density(d, seed=rng).mat)
+                if n == 3:
+                    np.testing.assert_array_equal(params[k], random_qtriple(rng).as_array())
+                else:
+                    assert (params[0][k], params[1][k]) == (rng.uniform(), 1 - 2 * rng.integers(2))
+
+    def test_draw_stream_is_pinned(self, capsys):
+        # the states and q of this scan's argmin, exactly as the per-sample scan recorded them
+        rc, doc = run(capsys, "epi-scan", "--n", "3", "--d", "2", "--samples", "400",
+                      "--seed", "5")
+        assert rc == 0
+        rep = report_of(doc)
+        assert rep["argmin"] == PINNED_ARGMIN
+        assert rep["negative_samples"] == 0
+        assert abs(rep["min_gap"] - 0.01022054774360781) <= 1e-12
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3)])
+    def test_chunk_size_invariant(self, capsys, monkeypatch, n, d):
+        argv = ("epi-scan", "--n", str(n), "--d", str(d), "--samples", "40", "--seed", "2")
+        docs = []
+        for chunk in (cli.SCAN_CHUNK, 7, 1):
+            monkeypatch.setattr(cli, "SCAN_CHUNK", chunk)
+            docs.append(strip_timing(run(capsys, *argv)[1]))
+        assert docs[0] == docs[1] == docs[2]
+
     def test_bad_dimension(self, capsys):
         rc, _ = run(capsys, "epi-scan", "--n", "2", "--d", "7")
         assert rc == 2
@@ -452,7 +517,7 @@ class TestEpiScan:
 
     def test_rigged_functional_fails_binary_scan(self, capsys, monkeypatch):
         # anti-concave functional: mixing can only lower it
-        rigged = EntropyFunctional("purity", lambda lam: float(np.sum(lam ** 2)),
+        rigged = EntropyFunctional("purity", lambda lam: np.sum(lam ** 2, axis=-1),
                                    concave_max_dim=None)
         monkeypatch.setattr(cli, "get_functional", lambda name: rigged)
         rc, doc = run(capsys, "epi-scan", "--n", "2", "--samples", "50",
@@ -461,7 +526,7 @@ class TestEpiScan:
         assert report_of(doc)["min_gap"] < -1e-9  # report still emitted
 
     def test_rigged_functional_dumps_counterexample(self, capsys, monkeypatch):
-        rigged = EntropyFunctional("purity", lambda lam: float(np.sum(lam ** 2)),
+        rigged = EntropyFunctional("purity", lambda lam: np.sum(lam ** 2, axis=-1),
                                    concave_max_dim=None)
         monkeypatch.setattr(cli, "get_functional", lambda name: rigged)
         rc, doc = run(capsys, "epi-scan", "--n", "3", "--samples", "50",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qmix.combine import (
     CoefficientSumNonzero,
@@ -14,8 +14,10 @@ from qmix.combine import (
     S3Coeffs,
     combine2,
     combine2_bruteforce,
+    combine2_stacked,
     combine3_bruteforce,
     combine3_closed,
+    combine3_closed_stacked,
     combine3_magic,
     combine3_pdelta,
     covariance_check,
@@ -399,6 +401,59 @@ class TestTernaryEquivalence:
             assert np.linalg.eigvalsh(out.mat)[0] > -1e-9
 
 
+def random_stack(d, seed, n=32):
+    """n random state triples and q-triples, and the same as (3, n, d, d) and (n, 3) arrays."""
+    rng = np.random.default_rng(seed)
+    triples = [[random_density(d, seed=rng) for _ in range(3)] for _ in range(n)]
+    qs = [random_qtriple(rng) for _ in range(n)]
+    mats = np.array([[r.mat for r in t] for t in triples]).swapaxes(0, 1)
+    return triples, qs, mats, np.array([q.as_array() for q in qs])
+
+
+class TestStackedCore:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_closed_agrees_with_scalar_oracles(self, d):
+        triples, qs, mats, q = random_stack(d, 40 + d)
+        out = combine3_closed_stacked(*mats, q)
+        assert out.shape == (32, d, d)
+        for row, rhos, qt in zip(out, triples, qs):
+            z = z_from_q(qt)
+            assert np.abs(row - combine3_magic(*rhos, z).mat).max() < 1e-10
+            assert np.abs(row - combine3_bruteforce(*rhos, z).mat).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_closed_rows_equal_batches_of_one(self, d):
+        triples, qs, mats, q = random_stack(d, 50 + d)
+        for row, rhos, qt in zip(combine3_closed_stacked(*mats, q), triples, qs):
+            assert_array_equal(row, combine3_closed(*rhos, qt).mat)
+        # fixed states broadcast against many q-rows, as the orbit --mub columns use them
+        rhos = triples[0]
+        fixed = combine3_closed_stacked(*(r.mat for r in rhos), q)
+        for row, qt in zip(fixed, qs):
+            assert_array_equal(row, combine3_closed(*rhos, qt).mat)
+
+    def test_closed_checks_every_row(self):
+        _, _, mats, q = random_stack(2, 60, n=4)
+        q[2] = [0.5, 0.5, 0]
+        with pytest.raises(ValueError):
+            combine3_closed_stacked(*mats, q)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_binary_agrees_with_bruteforce_and_batches_of_one(self, d):
+        triples, _, mats, _ = random_stack(d, 70 + d)
+        rng = np.random.default_rng(d)
+        lam, sign = rng.uniform(size=32), rng.choice([1, -1], size=32)
+        out = combine2_stacked(mats[0], mats[1], lam, sign)
+        for row, (r1, r2, _), l, s in zip(out, triples, lam, sign):
+            assert np.abs(row - combine2_bruteforce(r1, r2, l, s).mat).max() < 1e-10
+            assert_array_equal(row, combine2(r1, r2, l, s).mat)
+
+    def test_binary_lambda_checked(self):
+        _, _, mats, _ = random_stack(2, 80, n=3)
+        with pytest.raises(ValueError, match="lambda"):
+            combine2_stacked(mats[0], mats[1], [0.5, 1.5, 0.2], [1, 1, 1])
+
+
 class TestClosedFormStructure:
     def test_commuting_diagonal_states(self):
         # diagonal states kill every commutator; output is the convex
@@ -703,9 +758,29 @@ def _s3_irreps_with_nan_element():
     _s3_irreps_with_nan_element,
     lambda: _closed_rows([[1, 0, 0], [np.nan, 0, 1]]),
     lambda: _closed_rows([[1, 0, 0], [0.5, 0.5, 0]]),
+    lambda: q_from_z(S3Coeffs([np.nan] * 6)),
+    lambda: third_order_reduce(_qtriple_with_nan()),
 ], ids=["qtriple", "density", "pdelta", "s3coeffs", "synthesis", "nested-weights",
         "partial-swap", "from-probs", "from-bloch", "block-decompose", "s3-from-phases",
-        "irrep-set", "closed-rows-nan", "closed-rows-off-norm"])
+        "irrep-set", "closed-rows-nan", "closed-rows-off-norm", "q-from-z",
+        "third-order-reduce"])
 def test_nan_fails_validation(build):
     with pytest.raises(ValueError):
         build()
+
+
+def _qtriple_with_nan() -> QTriple:
+    """A valid QTriple whose first entry is then overwritten with NaN."""
+    q = QTriple(1.0, 0.0, 0.0)
+    object.__setattr__(q, "q1", complex(np.nan, 0))
+    return q
+
+
+def test_nan_raises_the_checks_own_exception():
+    # NaN must fail the gauge and overlap checks themselves, not a later constructor
+    with pytest.raises(GaugeViolation):
+        q_from_z(S3Coeffs([np.nan] * 6))
+    with pytest.raises(GaugeViolation):
+        q_from_z(S3Coeffs([0.5, 0.5, 0, np.nan, 0, 0]))
+    with pytest.raises(CoefficientSumNonzero):
+        third_order_reduce(_qtriple_with_nan())

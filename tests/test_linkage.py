@@ -400,6 +400,13 @@ class TestCsvExport:
                 assert row[8:11] == ["nan"] * 3 and row[11] == "0"
             assert float(row[12]) == w1[orbit_id][step]
 
+    def test_extra_columns_without_orbits(self):
+        buf = io.StringIO()
+        write_orbit_csv([], buf, extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
+        assert buf.getvalue().strip().split(",") == [
+            "step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2", "re_q3", "im_q3",
+            "delta12", "delta23", "delta31", "nested", "w1"]
+
     def test_extra_columns(self):
         orbits = orbit_trace(uniform_spec(), steps=60)
         buf = io.StringIO()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qmix.groups import Perm, symmetric_group
 from qmix.irreps import tensor_rep
@@ -9,6 +9,7 @@ from qmix.states import (
     DensityMatrix,
     bloch_vector,
     commutator,
+    density_spectra,
     double_commutator,
     entropy,
     get_functional,
@@ -64,6 +65,34 @@ class TestDensityMatrix:
         rho = random_density(3, seed=4)
         again = DensityMatrix.from_json(rho.to_json())
         assert_allclose(again.mat, rho.mat, atol=0)
+
+
+class TestDensitySpectra:
+    def test_returns_each_matrix_spectrum(self):
+        mats = np.array([r.mat for r in rho_triple(3, d=3)])
+        lam = density_spectra(mats)
+        assert lam.shape == (3, 3)
+        for row, M in zip(lam, mats):
+            assert_array_equal(row, np.linalg.eigvalsh(M))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+        (np.eye(2), "trace"),
+        (np.diag([1.5, -0.5]), "eigenvalue"),
+        (np.full((2, 2), np.nan), "Hermitian"),
+    ])
+    def test_one_bad_matrix_fails_the_stack(self, bad, message):
+        good = np.eye(2) / 2
+        with pytest.raises(ValueError, match=message):
+            density_spectra(np.array([[good, good], [good, bad]]))
+
+    def test_message_quotes_the_first_failing_matrix(self):
+        stack = np.array([np.eye(2) / 2, np.diag([1.5, -0.5]), np.diag([1.25, -0.25])])
+        with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+            density_spectra(stack)
+
+    def test_empty_stack(self):
+        assert density_spectra(np.empty((0, 2, 2), complex)).shape == (0, 2)
 
 
 class TestTensorAndTrace:
@@ -219,6 +248,18 @@ class TestEntropies:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_functional("tsallis")
+
+    @pytest.mark.parametrize("name", sorted(ENTROPY_FUNCTIONALS))
+    def test_reduces_over_the_last_axis(self, name):
+        # one call on a (2, 3, d) stack of spectra equals the call on each spectrum
+        f = get_functional(name)
+        rng = np.random.default_rng(15)
+        lam = rng.dirichlet(np.ones(4), size=(2, 3))
+        lam[0, 1, 2] = 0.0  # where von Neumann takes 0 log 0 = 0
+        values = f(lam)
+        assert values.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert values[idx] == f(lam[idx])
 
     def test_registry_contents(self):
         assert set(ENTROPY_FUNCTIONALS) == {"von-neumann", "renyi-0.5",
