@@ -55,7 +55,8 @@ for b in (0.45, 0.55):
 # --- exporting a trace ----------------------------------------------------
 out = "uniform_orbit.csv"
 write_orbit_csv(orbit_trace(spec, steps=1200), out)
-head = open(out).read().splitlines()
+with open(out) as fh:
+    head = fh.read().splitlines()
 print(f"\nwrote {len(head) - 1} rows to {out}")
 print(head[0])
 print(head[1][:72], "...")

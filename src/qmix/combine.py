@@ -194,6 +194,8 @@ class PDelta:
         if not _is_probability_triple(p):
             raise ValueError("weights must be nonnegative and sum to 1")
         d = np.asarray(self.deltas, dtype=float)
+        if d.shape != (3,):
+            raise ValueError("need three deltas (d12, d23, d31)")
         if not abs(wrap_angle(d.sum())) <= _CONSTRAINT_TOL:
             raise ValueError(f"delta sum {d.sum():.12g} is not 0 mod 2*pi")
         r = np.sqrt(np.maximum(p, 0.0))
@@ -302,6 +304,8 @@ def combine2_stacked(r1: np.ndarray, r2: np.ndarray, lam, sign) -> np.ndarray:
     sign = np.asarray(sign)[..., None, None]
     if not ((0 <= lam) & (lam <= 1)).all():
         raise ValueError("lambda must lie in [0, 1]")
+    if not ((sign == 1) | (sign == -1)).all():
+        raise ValueError("sign must be +1 or -1")
     return (lam * r1 + (1 - lam) * r2
             + sign * np.sqrt(lam * (1 - lam)) * 1j * commutator(r2, r1))
 
@@ -446,6 +450,8 @@ def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> S
     """
     if not abs(abs(a) ** 2 + abs(c) ** 2 - 1) <= _CONSTRAINT_TOL:  # written so that NaN fails
         raise ValueError("|a|^2 + |c|^2 must equal 1")
+    if not np.isfinite([phi1, phi2]).all():
+        raise ValueError("block phases must be finite")
     return S3Coeffs(_s3_z(*(np.array([x]) for x in (phi1, phi2, a, c)))[0])
 
 

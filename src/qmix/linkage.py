@@ -122,15 +122,21 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> lis
             for branch in ((+1,) if tangent else (+1, -1))]
 
 
-def _config_at(r1: float, r2: float, r3: float, theta: float, branch: int) -> np.ndarray:
-    """Bars (q1, q2, q3) on a fixed intersection branch (clamps h^2 rounding at tangency)."""
+def _config_at(r1: float, r2: float, r3: float, theta, branch) -> np.ndarray:
+    """Bars (..., 3) at crank angles theta on branches +-1; clamps h^2 rounding at tangency.
+
+    theta and branch broadcast, as scalars or arrays, and a row is bitwise
+    the same either way: D is a hypot, which the array abs is not, and
+    (x + i h) u is spelled out in reals, which the array complex product is not.
+    """
     q1 = r1 * np.exp(1j * theta)
     w = 1.0 - q1
-    D = abs(w)
+    D = np.hypot(w.real, w.imag)
     x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
-    h = np.sqrt(max(r2 * r2 - x * x, 0.0))
-    q2 = (x + 1j * branch * h) * (w / D)
-    return np.array([q1, q2, w - q2])
+    h = branch * np.sqrt(np.maximum(r2 * r2 - x * x, 0.0))
+    u = w / D
+    q2 = np.stack([x * u.real - h * u.imag, x * u.imag + h * u.real], -1).view(complex)[..., 0]
+    return np.stack([q1, q2, w - q2], axis=-1)
 
 
 def config_deltas(q) -> np.ndarray:
@@ -215,82 +221,55 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
     alpha = 0.0 if hi >= 1.0 else float(np.arccos(hi))
     beta = np.pi if lo <= -1.0 else float(np.arccos(lo))
 
-    # each loop is a list of (theta, branch); tangency points carry h = 0
+    # each loop is crank angles theta with intersection branches; tangency points carry h = 0
     if upper_free and lower_free:
         grid = np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False)
-        loops = [[(float(t), +1) for t in grid], [(float(t), -1) for t in grid]]
-    elif not (upper_free or upper_tangent) and not (lower_free or lower_tangent):
-        half = steps // 2
-        arc = np.linspace(alpha, beta, half)
-        loops = []
-        for mirror in (+1, -1):
-            fwd = [(float(mirror * t), +1) for t in arc]
-            bwd = [(float(mirror * t), -1) for t in arc[-2:0:-1]]
-            loops.append(fwd + bwd)
+        loops = [(grid, np.full(steps, b)) for b in (+1, -1)]
     else:
-        # single loop: one side of the circle is passable, the other binds
-        if lower_free or lower_tangent:
-            t0, t1 = alpha, 2.0 * np.pi - alpha
-        else:
-            t0, t1 = -beta, beta
         half = steps // 2
-        arc = np.linspace(t0, t1, half)
-        fwd = [(float(t), +1) for t in arc]
-        bwd = [(float(t), -1) for t in arc[-2:0:-1]]
-        loops = [fwd + bwd]
+        if not (upper_free or upper_tangent) and not (lower_free or lower_tangent):
+            arcs = [np.linspace(alpha, beta, half)]
+            arcs.append(-arcs[0])
+        elif lower_free or lower_tangent:
+            # single loop: one side of the circle is passable, the other binds
+            arcs = [np.linspace(alpha, 2.0 * np.pi - alpha, half)]
+        else:
+            arcs = [np.linspace(-beta, beta, half)]
+        # out along the arc on branch +1 and back on branch -1
+        back = np.repeat([+1, -1], [half, half - 2])
+        loops = [(np.concatenate([arc, arc[-2:0:-1]]), back) for arc in arcs]
 
-    def build(pt):
-        return _config_at(r1, r2, r3, pt[0], pt[1])
-
-    def edge_branch(a, b):
-        """Branch the loop follows between two adjacent points.
-
-        Each loop runs an arc on branch +1 and back on branch -1, switching
-        only at the arc ends.  Those are tangencies, where both branches
-        meet, so every edge that switches branch lies on branch -1.
-        """
-        return a[1] if a[1] == b[1] else -1
-
-    # each nested configuration with its crank angle and intersection branch
-    nested = [(q, float(np.angle(q[0])), +1 if np.imag(q[1] * np.conj(1.0 - q[0])) >= 0 else -1)
-              for q in _nested_configs(spec, (r1, r2, r3))]
+    # each nested configuration with its crank angle and its branch, the sign of Im(q2 conj(w))
+    nested = np.reshape(_nested_configs(spec, (r1, r2, r3)), (-1, 3))
+    w = 1.0 - nested[:, 0]
+    nested_theta = np.angle(nested[:, 0])
+    nested_branch = np.where(nested[:, 1].imag * w.real >= nested[:, 1].real * w.imag, +1, -1)
     max_gap = 2.0 * np.pi * 3.0 / steps
     out: list[np.ndarray] = []
-    for pts in loops:
-        # refine until every adjacent pair, wraparound included, respects the bar-angle bound
-        cfgs = [build(pt) for pt in pts]
+    for theta, branch in loops:
+        # bisect until every adjacent pair, wraparound included, respects the bar-angle bound
+        cfgs = _config_at(r1, r2, r3, theta, branch)
         for _ in range(40):
-            m = len(pts)
             angles = np.angle(cfgs)
             gaps = np.abs(wrap_angle(angles - np.roll(angles, -1, axis=0))).max(axis=1)
-            refined: list[tuple[float, int]] = []
-            refined_cfgs = []
-            for i in range(m):
-                refined.append(pts[i])
-                refined_cfgs.append(cfgs[i])
-                if gaps[i] >= max_gap:
-                    nxt = pts[(i + 1) % m]
-                    mid = ((pts[i][0] + nxt[0]) / 2.0, edge_branch(pts[i], nxt))
-                    refined.append(mid)
-                    refined_cfgs.append(build(mid))
-            if len(refined) == m:
+            wide = np.flatnonzero(gaps >= max_gap)
+            if wide.size == 0:
                 break
-            pts, cfgs = refined, refined_cfgs
-        m = len(pts)
+            # Each loop runs an arc on branch +1 and back on branch -1, switching
+            # only at the arc ends.  Those are tangencies, where both branches
+            # meet, so every edge that switches branch lies on branch -1.
+            edge = np.where(branch == np.roll(branch, -1), branch, -1)
+            theta = np.insert(theta, wide + 1, (theta + np.roll(theta, -1))[wide] / 2.0)
+            branch = np.insert(branch, wide + 1, edge[wide])
+            cfgs = _config_at(r1, r2, r3, theta, branch)
         # an edge holds a nested point when its crank interval and its branch do
-        theta = np.array([t for t, _ in pts])
+        edge = np.where(branch == np.roll(branch, -1), branch, -1)
         span = wrap_angle(np.roll(theta, -1) - theta)
-        inserts: dict[int, list] = {}
-        for q, t, branch in nested:
-            off = wrap_angle(t - theta)
-            for i in np.flatnonzero((off * span > 0) & (np.abs(off) < np.abs(span))).tolist():
-                if edge_branch(pts[i], pts[(i + 1) % m]) == branch:
-                    inserts.setdefault(i, []).append((abs(off[i]), q))
-        rows = []
-        for i, cfg in enumerate(cfgs):
-            rows.append(cfg)
-            rows.extend(q for _, q in sorted(inserts.get(i, []), key=lambda e: e[0]))
-        out.append(_closed_rows(rows))
+        off = wrap_angle(nested_theta[:, None] - theta)
+        k, i = np.nonzero((off * span > 0) & (np.abs(off) < np.abs(span))
+                          & (edge == nested_branch[:, None]))
+        order = np.lexsort((k, np.abs(off[k, i]), i))
+        out.append(_closed_rows(np.insert(cfgs, i[order] + 1, nested[k[order]], axis=0)))
     return out
 
 

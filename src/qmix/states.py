@@ -63,7 +63,10 @@ class DensityMatrix:
     @classmethod
     def pure(cls, psi) -> "DensityMatrix":
         v = np.asarray(psi, dtype=complex)
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not 0 < norm < np.inf:  # NaN fails
+            raise ValueError("state vector must be finite and nonzero")
+        v = v / norm
         return cls(np.outer(v, v.conj()), check=False)
 
     @classmethod

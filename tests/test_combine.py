@@ -453,6 +453,15 @@ class TestStackedCore:
         with pytest.raises(ValueError, match="lambda"):
             combine2_stacked(mats[0], mats[1], [0.5, 1.5, 0.2], [1, 1, 1])
 
+    @pytest.mark.parametrize("sign", [0, 2, 0.5])
+    def test_binary_sign_checked(self, sign):
+        triples, _, mats, _ = random_stack(2, 81, n=3)
+        with pytest.raises(ValueError, match="sign"):
+            combine2_stacked(mats[0], mats[1], [0.5, 0.5, 0.2], [1, sign, -1])
+        r1, r2, _ = triples[0]
+        with pytest.raises(ValueError, match="sign"):
+            combine2(r1, r2, 0.3, sign)
+
 
 class TestClosedFormStructure:
     def test_commuting_diagonal_states(self):
@@ -743,6 +752,12 @@ def _s3_irreps_with_nan_element():
     return IrrepSet(ir.group, ir.irreps[:2] + (Irrep("standard", 2, mats),))
 
 
+def _pdelta_with_fourth_delta() -> PDelta:
+    """A valid PDelta's weights and deltas, with a zero fourth delta appended."""
+    pd = pdelta_from_q(random_qtriple(7))
+    return PDelta(pd.p, pd.deltas + (0.0,))
+
+
 @pytest.mark.parametrize("build", [
     lambda: QTriple(np.nan, 0, 0),
     lambda: DensityMatrix([[np.nan, 0], [0, 1]]),
@@ -760,10 +775,18 @@ def _s3_irreps_with_nan_element():
     lambda: _closed_rows([[1, 0, 0], [0.5, 0.5, 0]]),
     lambda: q_from_z(S3Coeffs([np.nan] * 6)),
     lambda: third_order_reduce(_qtriple_with_nan()),
+    lambda: DensityMatrix.pure([0, 0]),
+    lambda: DensityMatrix.pure([np.nan, 1]),
+    lambda: DensityMatrix.pure([np.inf, 1]),
+    lambda: s3_coeffs_from_phases(np.nan, 0, 1, 0),
+    lambda: s3_coeffs_from_phases(0, np.inf, 1, 0),
+    lambda: PDelta((0.2, 0.3, 0.5), (0.1, -0.1)),
+    _pdelta_with_fourth_delta,
 ], ids=["qtriple", "density", "pdelta", "s3coeffs", "synthesis", "nested-weights",
         "partial-swap", "from-probs", "from-bloch", "block-decompose", "s3-from-phases",
         "irrep-set", "closed-rows-nan", "closed-rows-off-norm", "q-from-z",
-        "third-order-reduce"])
+        "third-order-reduce", "pure-zero", "pure-nan", "pure-inf", "s3-from-phases-nan-phi1",
+        "s3-from-phases-inf-phi2", "pdelta-two-deltas", "pdelta-four-deltas"])
 def test_nan_fails_validation(build):
     with pytest.raises(ValueError):
         build()

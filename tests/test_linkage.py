@@ -14,6 +14,7 @@ from qmix.combine import (
     q_from_pdelta,
 )
 from qmix.linkage import (
+    _config_at,
     config_deltas,
     LinkageSpec,
     b0,
@@ -266,6 +267,36 @@ class TestOrbitTrace:
         with pytest.raises(ValueError):
             orbit_trace(uniform_spec(), steps=6)
 
+
+def _scalar_config(r1, r2, r3, theta, branch):
+    """One configuration the way the per-point tracer built it: Python abs and complex products."""
+    q1 = r1 * np.exp(1j * theta)
+    w = 1.0 - q1
+    D = abs(w)
+    x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
+    q2 = (x + 1j * branch * np.sqrt(max(r2 * r2 - x * x, 0.0))) * (w / D)
+    return [q1, q2, w - q2]
+
+
+@pytest.mark.parametrize("p", [UNIFORM, (0.6, 0.3, 0.1), (0.83, 0.15, 0.02), (0.01, 0.36, 0.63)])
+def test_config_rows_bitwise_match_scalar_calls(p):
+    # a row of the traced arrays must not depend on its neighbours, bit for bit:
+    # crank angles and branches of a traced loop, plus the exact tangency angles
+    spec, r = LinkageSpec.from_weights(p)
+    r1, r2, r3 = r
+    ends = [(1 + r1 * r1 - s * s) / (2 * r1) for s in (r2 + r3, r2 - r3)]
+    tangent = [t for c in ends if abs(c) <= 1 for t in (np.arccos(c), -np.arccos(c))]
+    for loop in orbit_trace(spec, 1200, r):
+        w = 1.0 - loop[:, 0]
+        traced = np.where(loop[:, 1].imag * w.real >= loop[:, 1].real * w.imag, 1, -1)
+        theta = np.concatenate([np.angle(loop[:, 0]), tangent, tangent])
+        branch = np.concatenate([traced, np.ones(len(tangent), int), -np.ones(len(tangent), int)])
+        rows = _config_at(r1, r2, r3, theta, branch)
+        pairs = list(zip(theta.tolist(), branch.tolist()))
+        scalar = np.array([_config_at(r1, r2, r3, t, b) for t, b in pairs])
+        reference = np.array([_scalar_config(r1, r2, r3, t, b) for t, b in pairs])
+        assert_array_equal(rows.view(np.uint64), scalar.view(np.uint64))
+        assert_array_equal(rows.view(np.uint64), reference.view(np.uint64))
 
 NESTED_TRIPLES = [UNIFORM, (0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.01, 0.36, 0.63),
                   (0.83, 0.15, 0.02)] + [
