@@ -50,6 +50,7 @@ from .combine import (
 from .groups import regular_lincomb
 from .irreps import (
     BlockUnitaries,
+    _unitarity_residual,
     extract_blocks,
     flat_unitary_search,
     irreps_cyclic,
@@ -190,8 +191,7 @@ def _cmd_synth(args) -> int:
     back = extract_blocks(z, irreps)
     roundtrip = max(float(np.abs(np.asarray(B) - np.asarray(U)).max())
                     for B, U in zip(back.blocks, blocks.blocks))
-    L = regular_lincomb(z)
-    residual = float(np.abs(L @ L.conj().T - np.eye(irreps.group.order)).max())
+    residual = _unitarity_residual(regular_lincomb(z))
     report = {
         "group": cfg["group"],
         "order": irreps.group.order,
@@ -378,12 +378,11 @@ def _draw(n: int, d: int, seed: int, start: int, stop: int):
     return states, _balanced_q_rows(np.array(first), np.reshape(second, (-1, 4)))
 
 
-def _scan_gaps(n: int, d: int, fname: str, seed: int, start: int, stop: int) -> np.ndarray:
-    """Concavity gaps of samples start..stop-1: entropy of the mix minus the weighted entropies.
+def _gaps(n: int, fname: str, states: np.ndarray, params) -> np.ndarray:
+    """Concavity gaps of drawn samples: entropy of the mix minus the weighted entropies.
 
     The outputs and inputs are checked and diagonalized in one stacked call.
     """
-    states, params = _draw(n, d, seed, start, stop)
     rhos = np.moveaxis(states, 1, 0)
     if n == 2:
         lam, sign = params
@@ -391,20 +390,15 @@ def _scan_gaps(n: int, d: int, fname: str, seed: int, start: int, stop: int) -> 
     else:
         out, weights = combine3_closed_stacked(*rhos, params), np.abs(params) ** 2
     spectra = density_spectra(np.concatenate([out[:, None], states], axis=1))
-    values = get_functional(fname)(np.clip(spectra, 0.0, 1.0))
+    values = get_functional(fname)(spectra)
     return values[:, 0] - sum(weights[:, k] * values[:, k + 1] for k in range(n))
-
-
-def _scan_sample(n: int, d: int, fname: str, seed: int, index: int) -> float:
-    """Concavity gap of one sample, as a batch of one."""
-    return float(_scan_gaps(n, d, fname, seed, index, index + 1)[0])
 
 
 def _scan_range(packed) -> tuple[float, int, int]:
     n, d, fname, seed, start, stop = packed
     best, best_idx, neg = np.inf, -1, 0
     for lo in range(start, stop, SCAN_CHUNK):
-        gaps = _scan_gaps(n, d, fname, seed, lo, min(lo + SCAN_CHUNK, stop))
+        gaps = _gaps(n, fname, *_draw(n, d, seed, lo, min(lo + SCAN_CHUNK, stop)))
         k = int(np.argmin(np.where(np.isnan(gaps), np.inf, gaps)))  # first minimum, NaN skipped
         if gaps[k] < best:
             best, best_idx = float(gaps[k]), lo + k
@@ -412,8 +406,8 @@ def _scan_range(packed) -> tuple[float, int, int]:
     return best, best_idx, neg
 
 
-def _sample_detail(n: int, d: int, seed: int, index: int) -> dict:
-    """Reproduction record for one sample (used for argmin and counterexamples)."""
+def _argmin_sample(n: int, d: int, fname: str, seed: int, index: int) -> tuple[float, dict]:
+    """Concavity gap and reproduction record of one sample, drawn once as a batch of one."""
     states, params = _draw(n, d, seed, index, index + 1)
     detail: dict = {"sample_index": index, "seed_path": [seed, index],
                     "states": [pairs(r) for r in states[0]]}
@@ -421,7 +415,7 @@ def _sample_detail(n: int, d: int, seed: int, index: int) -> dict:
         detail["lambda"], detail["sign"] = float(params[0][0]), int(params[1][0])
     else:
         detail["q"] = pairs(params[0])
-    return detail
+    return float(_gaps(n, fname, states, params)[0]), detail
 
 
 def _cmd_epi_scan(args) -> int:
@@ -430,6 +424,10 @@ def _cmd_epi_scan(args) -> int:
         raise CliError(2, "d must be 2, 3, or 4")
     if args.samples < 1:
         raise CliError(2, "samples must be positive")
+    if args.seed < 0:
+        raise CliError(2, "seed must be non-negative")
+    if args.workers < 1:
+        raise CliError(2, "workers must be positive")
     try:
         get_functional(args.functional)
     except KeyError as exc:
@@ -448,10 +446,9 @@ def _cmd_epi_scan(args) -> int:
     argmin = min(p[1] for p in parts if p[0] == min_gap)
     negatives = sum(p[2] for p in parts)
     # reproducibility guard: the argmin sample must recompute to the same gap
-    recomputed = _scan_sample(args.n, args.d, args.functional, args.seed, argmin)
+    recomputed, detail = _argmin_sample(args.n, args.d, args.functional, args.seed, argmin)
     if recomputed != min_gap:
         raise CliError(4, "argmin sample failed to reproduce from its seed")
-    detail = _sample_detail(args.n, args.d, args.seed, argmin)
     report = {
         "n": args.n,
         "d": args.d,
@@ -479,6 +476,8 @@ def _cmd_flat_search(args) -> int:
     t0 = time.perf_counter()
     if args.attempts < 1:
         raise CliError(2, "attempts must be positive")
+    if args.seed < 0:
+        raise CliError(2, "seed must be non-negative")
     found = flat_unitary_search(irreps_s3(), args.attempts, args.seed)
     target = 1.0 / np.sqrt(6.0)
     sols = []

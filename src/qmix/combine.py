@@ -50,7 +50,6 @@ __all__ = [
     "combine3_magic",
     "combine3_closed",
     "combine3_closed_stacked",
-    "combine3_pdelta",
     "s3_coeffs_from_phases",
     "q_from_z",
     "z_from_q",
@@ -64,7 +63,6 @@ __all__ = [
     "nested_from_delta",
     "verify_real_imag_param",
     "random_qtriple",
-    "random_s3_phases",
     "wrap_angle",
     "cos_vanishes",
 ]
@@ -430,12 +428,6 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
                   + x31 * (p12 @ r3 + p32 @ r1))
 
 
-def combine3_pdelta(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
-                    pd: PDelta) -> DensityMatrix:
-    """Ternary channel from the (p, delta) form: the closed form at q_from_pdelta(pd)."""
-    return combine3_closed(rho1, rho2, rho3, q_from_pdelta(pd))
-
-
 # ---------------------------------------------------------------------------
 # parametrization conversions
 
@@ -673,20 +665,6 @@ def verify_real_imag_param(a1: float, a2: float, a3: float,
 # manifold sampling
 
 
-def random_s3_phases(rng: np.random.Generator, balanced: bool = True
-                     ) -> tuple[float, float, complex, complex]:
-    """Random (phi1, phi2, a, c) with (a, c) Haar on the unit sphere of C^2.
-
-    ``balanced`` forces phi2 = -phi1, the family whose coefficients admit
-    the q-parametrization.
-    """
-    phi1 = float(rng.uniform(0, 2 * np.pi))
-    phi2 = -phi1 if balanced else float(rng.uniform(0, 2 * np.pi))
-    v = rng.normal(size=4)
-    v = v / np.linalg.norm(v)
-    return phi1, phi2, complex(v[0], v[1]), complex(v[2], v[3])
-
-
 def random_qtriple(seed=None) -> QTriple:
     """Uniform sample of the constraint manifold via the phase parametrization."""
     rng = np.random.default_rng(seed)
@@ -696,8 +674,9 @@ def random_qtriple(seed=None) -> QTriple:
 def _balanced_q_rows(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(N, 3) q-rows from phases phi1 = -phi2 = phi (N,) and normals v (N, 4).
 
-    (a, c) is v normalized, the draw of ``random_s3_phases``; each row is
-    q_from_z(s3_coeffs_from_phases(phi, -phi, a, c)), value for value.
+    (a, c) is v normalized, which puts it Haar-uniformly on the unit sphere
+    of C^2; each row is q_from_z(s3_coeffs_from_phases(phi, -phi, a, c)),
+    value for value.
     """
     # each norm as a dot product, as np.linalg.norm takes it for a single vector
     ac = (v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]).view(complex)

@@ -1,8 +1,8 @@
 """Finite groups and their regular representations.
 
 Groups are stored as dense Cayley tables over integer element ids
-0..order-1.  Symmetric and cyclic groups come with constructors; anything
-else can be loaded from a JSON Cayley table.  The left regular
+0..order-1.  Symmetric and cyclic groups come with constructors; any other
+group can be built from its Cayley table as an array.  The left regular
 representation realizes each element as a permutation matrix acting by
 left multiplication on the group-element basis, which is the workhorse
 for deciding unitarity of group-algebra elements downstream.
@@ -97,7 +97,6 @@ class FiniteGroup:
     """
 
     cayley: np.ndarray
-    name: str = "group"
     labels: tuple[str, ...] | None = None
     perms: tuple[Perm, ...] | None = None  # set for symmetric groups
     identity_id: int = field(init=False)
@@ -145,21 +144,6 @@ class FiniteGroup:
     def inv(self, g: int) -> int:
         return int(self.inverses[g])
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FiniteGroup":
-        """Load a group from ``{"order": n, "table": [[...]]}``, with an optional ``"name"``."""
-        table = np.asarray(data["table"], dtype=np.intp)
-        if table.shape != (data["order"], data["order"]):
-            raise ValueError("table shape does not match declared order")
-        return cls(table, name=data.get("name", "group"))
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "table": self.cayley.tolist(),
-            "name": self.name,
-        }
-
 
 def symmetric_group(n: int) -> FiniteGroup:
     """All n! permutations of {1..n} as a FiniteGroup.
@@ -180,7 +164,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     table = [[index[(perms[i] * perms[j]).images] for j in range(len(perms))]
              for i in range(len(perms))]
     labels = tuple("".join(map(str, p.images)) for p in perms)
-    return FiniteGroup(np.array(table), name=f"S{n}", labels=labels, perms=perms)
+    return FiniteGroup(np.array(table), labels=labels, perms=perms)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -189,7 +173,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise ValueError("n must be >= 1")
     i = np.arange(n)
     table = (i[:, None] + i[None, :]) % n
-    return FiniteGroup(table, name=f"Z{n}", labels=tuple(map(str, range(n))))
+    return FiniteGroup(table, labels=tuple(map(str, range(n))))
 
 
 def left_regular(group: FiniteGroup, g: int) -> np.ndarray:

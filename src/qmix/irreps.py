@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._serial import complexes, pairs
 from .groups import CoeffVector, FiniteGroup, Perm, cyclic_group, symmetric_group
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "haar_unitary",
     "random_block_unitaries",
     "s3_phase_blocks",
-    "irreps_to_json",
-    "irreps_from_json",
 ]
 
 UNITARY_TOL = 1e-10
@@ -129,11 +126,6 @@ class BlockUnitaries:
 
     blocks: tuple[np.ndarray, ...]
     labels: tuple[str, ...] = ()
-
-    @classmethod
-    def identity(cls, irreps: IrrepSet) -> "BlockUnitaries":
-        return cls(tuple(np.eye(r.dim, dtype=complex) for r in irreps),
-                   tuple(r.label for r in irreps))
 
     @classmethod
     def from_element(cls, irreps: IrrepSet, g: int) -> "BlockUnitaries":
@@ -399,22 +391,3 @@ def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int) -> list[Coef
             seen.add(key)
             found.append(z)
     return found
-
-
-def irreps_to_json(irreps: IrrepSet) -> dict:
-    """JSON-ready dict: label, dim, per-element matrices as [re, im] pairs."""
-    return {"order": irreps.group.order,
-            "irreps": [{"label": r.label, "dim": r.dim, "matrices": pairs(r.matrices)}
-                       for r in irreps]}
-
-
-def irreps_from_json(data: dict, group: FiniteGroup) -> IrrepSet:
-    """Inverse of ``irreps_to_json``; revalidates against ``group``."""
-    if data["order"] != group.order:
-        raise ValueError("group order mismatch")
-    irreps = []
-    for entry in data["irreps"]:
-        d = entry["dim"]
-        mats = complexes(entry["matrices"], (group.order, d, d), f"irrep {entry['label']!r}")
-        irreps.append(Irrep(entry["label"], d, mats))
-    return IrrepSet(group, tuple(irreps))

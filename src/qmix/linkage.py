@@ -33,6 +33,7 @@ __all__ = [
 _SUM_TOL = 1e-10
 _TANGENT_TOL = 1e-9
 _ZERO_RADIUS = 1e-12
+_MAX_STEPS = 1_000_000  # caps memory: orbit_trace at 10^6 steps already peaks near 650 MiB
 
 
 @dataclass(frozen=True)
@@ -205,8 +206,8 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
     are solved in closed form and inserted where the loop passes them.
     Every row is checked against the QTriple constraints in one pass.
     """
-    if steps < 12:
-        raise ValueError("steps must be >= 12")
+    if not 12 <= steps <= _MAX_STEPS:
+        raise ValueError(f"steps must be between 12 and {_MAX_STEPS}")
     r1, r2, r3 = _check_assignment(spec, assignment)
     if min(r1, r2, r3) < _ZERO_RADIUS:
         return [_closed_rows(o) for o in _degenerate_orbits(r1, r2, r3)]

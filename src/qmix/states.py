@@ -87,10 +87,6 @@ class DensityMatrix:
         M = 0.5 * (np.eye(2) + x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"])
         return cls(M, check=False)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, clamped to [0, 1]."""
-        return np.clip(np.linalg.eigvalsh(self.mat), 0.0, 1.0)
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
@@ -210,7 +206,8 @@ class EntropyFunctional:
     """A symmetric functional of the spectrum.
 
     The evaluator maps (..., d) spectra to (...) values, reducing over the
-    last axis, so one call serves a whole stack of states.
+    last axis, so one call serves a whole stack of states.  Calling the
+    functional clamps spectra to [0, 1] first, absorbing eigvalsh rounding.
 
     ``concave_max_dim`` bounds the dimensions on which concavity is
     promised (and property-tested); None means every dimension.  The
@@ -222,7 +219,7 @@ class EntropyFunctional:
     concave_max_dim: int | None = None
 
     def __call__(self, eigenvalues: np.ndarray) -> np.ndarray:
-        return self.evaluator(eigenvalues)
+        return self.evaluator(np.clip(eigenvalues, 0.0, 1.0))
 
 
 def _von_neumann(lam: np.ndarray) -> np.ndarray:
@@ -258,8 +255,8 @@ def get_functional(name: str) -> EntropyFunctional:
 
 
 def entropy(f: EntropyFunctional, rho: DensityMatrix) -> float:
-    """Apply ``f`` to the (clamped) spectrum of ``rho``."""
-    return float(f(rho.eigenvalues()))
+    """Apply ``f`` to the spectrum of ``rho``."""
+    return float(f(np.linalg.eigvalsh(rho.mat)))
 
 
 def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:

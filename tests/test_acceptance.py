@@ -22,7 +22,6 @@ from qmix.combine import (
     nested_params_for_weights,
     q_from_pdelta,
     random_qtriple,
-    random_s3_phases,
     s3_coeffs_from_phases,
     verify_real_imag_param,
     z_from_q,
@@ -44,6 +43,8 @@ from qmix.linkage import (
     orbit_trace,
 )
 from qmix.states import DensityMatrix, random_density
+
+from conftest import random_s3_phases
 
 IR3 = irreps_s3()
 

@@ -443,8 +443,22 @@ class TestEpiScan:
         assert rep["asserted"] is False
         # the argmin detail reproduces the reported gap exactly
         idx = rep["argmin"]["sample_index"]
-        gap = cli._scan_sample(3, 3, "renyi-0.5", 1, idx)
+        gap, detail = cli._argmin_sample(3, 3, "renyi-0.5", 1, idx)
         assert gap == rep["min_gap"]
+        assert detail == rep["argmin"]
+
+    def test_argmin_is_drawn_once(self, capsys, monkeypatch):
+        # one draw for the single chunk, one for the argmin's recompute and record
+        calls = []
+        draw = cli._draw
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+        monkeypatch.setattr(cli, "_draw", counted)
+        rc, _ = run(capsys, "epi-scan", "--n", "3", "--samples", "40", "--workers", "1")
+        assert rc == 0
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_draw_matches_the_single_samplers(self, d):
@@ -702,6 +716,25 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, role, doc):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("qmix: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["epi-scan", "--n", "2", "--seed", "-1"], id="scan-negative-seed"),
+    pytest.param(["epi-scan", "--n", "2", "--workers", "0"], id="scan-zero-workers"),
+    pytest.param(["epi-scan", "--n", "2", "--workers", "-3"], id="scan-negative-workers"),
+    pytest.param(["flat-search", "--seed", "-1"], id="flat-negative-seed"),
+    pytest.param(["orbit", "--steps", "1000000000"], id="orbit-huge-steps"),
+])
+def test_out_of_range_numeric_flag_is_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "orbit":
+        argv = argv + ["--config", write_json(tmp_path, "c.json", {"p": [0.5, 0.3, 0.2]})]
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("qmix: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_non_psd_state_is_domain_error(tmp_path, capsys):

@@ -19,7 +19,6 @@ from qmix.combine import (
     combine3_closed,
     combine3_closed_stacked,
     combine3_magic,
-    combine3_pdelta,
     covariance_check,
     delta_from_nested,
     nested_expand,
@@ -31,7 +30,6 @@ from qmix.combine import (
     q_from_pdelta,
     q_from_z,
     random_qtriple,
-    random_s3_phases,
     s3_coeffs_from_phases,
     third_order_reduce,
     verify_real_imag_param,
@@ -49,6 +47,8 @@ from qmix.states import (
     get_functional,
     random_density,
 )
+
+from conftest import random_s3_phases
 
 IR3 = irreps_s3()
 
@@ -369,7 +369,7 @@ class TestTernaryEquivalence:
                 continue
             pd = pdelta_from_q(q)
             a = combine3_closed(*rhos, q).mat
-            b = combine3_pdelta(*rhos, pd).mat
+            b = combine3_closed(*rhos, q_from_pdelta(pd)).mat
             assert np.abs(a - b).max() < 1e-10
 
     def test_indicator_identity(self):

@@ -120,16 +120,6 @@ class TestGroupConstruction:
         with pytest.raises(ValueError, match="associative"):
             FiniteGroup(loop)
 
-    def test_json_round_trip(self):
-        z4 = cyclic_group(4)
-        again = FiniteGroup.from_json(z4.to_json())
-        assert np.array_equal(again.cayley, z4.cayley)
-        assert again.identity_id == z4.identity_id
-
-    def test_json_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            FiniteGroup.from_json({"order": 3, "table": [[0, 1], [1, 0]]})
-
     def test_inverses_consistent(self):
         for G in (S3, cyclic_group(5), symmetric_group(4)):
             for g in G.elements:

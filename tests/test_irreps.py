@@ -13,9 +13,7 @@ from qmix.irreps import (
     fourier_matrix,
     haar_unitary,
     irreps_cyclic,
-    irreps_from_json,
     irreps_s3,
-    irreps_to_json,
     random_block_unitaries,
     s3_two_dim_alt,
     synthesize_coeffs,
@@ -66,13 +64,6 @@ class TestIrrepSets:
         assert_allclose(chars, [[1, 1], [1, -1]], atol=1e-15)
         assert len(irreps_cyclic(1).irreps) == 1
 
-    def test_json_round_trip(self):
-        data = irreps_to_json(IR3)
-        again = irreps_from_json(data, S3)
-        for a, b in zip(IR3, again):
-            assert a.label == b.label
-            assert_allclose(a.matrices, b.matrices, atol=0)
-
 
 class TestFourier:
     def test_z2_hadamard(self):
@@ -116,7 +107,7 @@ class TestSynthesis:
             assert_allclose(z.coeffs, expect, atol=1e-14)
 
     def test_identity_blocks_give_identity_indicator(self):
-        z = synthesize_coeffs(BlockUnitaries.identity(IR3), IR3)
+        z = synthesize_coeffs(BlockUnitaries.from_element(IR3, S3.identity_id), IR3)
         assert_allclose(z.coeffs, CoeffVector.indicator(S3, 0).coeffs, atol=1e-14)
 
     def test_round_trip_random(self):

@@ -46,7 +46,7 @@ class TestDensityMatrix:
 
     def test_from_probs(self):
         rho = DensityMatrix.from_probs([0.75, 0.25])
-        assert_allclose(rho.eigenvalues(), [0.25, 0.75], atol=1e-15)
+        assert_allclose(np.linalg.eigvalsh(rho.mat), [0.25, 0.75], atol=1e-15)
         with pytest.raises(ValueError):
             DensityMatrix.from_probs([0.5, 0.6])
 
@@ -260,6 +260,12 @@ class TestEntropies:
         assert values.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             assert values[idx] == f(lam[idx])
+
+    @pytest.mark.parametrize("name", sorted(ENTROPY_FUNCTIONALS))
+    def test_spectra_are_clamped_to_the_unit_interval(self, name):
+        # a pure state's eigenvalues as eigvalsh may round them, just outside [0, 1]
+        f = get_functional(name)
+        assert f(np.array([[1 + 1e-12, -1e-12]])) == f(np.array([[1.0, 0.0]]))
 
     def test_registry_contents(self):
         assert set(ENTROPY_FUNCTIONALS) == {"von-neumann", "renyi-0.5",
