@@ -49,6 +49,7 @@ from .combine import (
 )
 from .groups import regular_lincomb
 from .irreps import (
+    UNITARY_TOL,
     BlockUnitaries,
     _unitarity_residual,
     extract_blocks,
@@ -63,6 +64,7 @@ from .states import (
     DensityMatrix,
     _bloch_rows,
     _gram_states,
+    _require,
     bloch_vector,
     density_spectra,
     entropy,  # noqa: F401  bench/spans.py wraps it at this binding
@@ -201,8 +203,9 @@ def _cmd_synth(args) -> int:
         "block_roundtrip_error": roundtrip,
     }
     _emit(_wrap("synth", report, time.perf_counter() - t0), args.out)
-    if args.verify and (residual > 1e-10 or roundtrip > 1e-9):
-        raise CliError(4, "synthesized coefficients failed verification")
+    if args.verify:
+        _require([residual, roundtrip], [UNITARY_TOL, 1e-9],
+                 lambda v: CliError(4, "synthesized coefficients failed verification"))
     return 0
 
 
@@ -279,10 +282,8 @@ def _cmd_combine(args) -> int:
         if q is not None:
             mode_info["q"] = q.to_json()
         if args.verify:
-            mats = [o.mat for o in outs.values()]
-            verify_diff = float(max(np.abs(a - b).max()
-                                    for i, a in enumerate(mats)
-                                    for b in mats[i + 1:]))
+            mats = np.array([o.mat for o in outs.values()])
+            verify_diff = float(np.abs(mats[:, None] - mats[None]).max())
     M = out.mat
     report = {
         "dim": d,
@@ -302,8 +303,9 @@ def _cmd_combine(args) -> int:
     if verify_diff is not None:
         report["verify"] = {"max_mode_diff": verify_diff}
     _emit(_wrap("combine", report, time.perf_counter() - t0), args.out)
-    if verify_diff is not None and verify_diff > 1e-10:
-        raise CliError(4, f"combination modes disagree by {verify_diff:.3e}")
+    if verify_diff is not None:
+        _require(verify_diff, UNITARY_TOL,
+                 lambda v: CliError(4, f"combination modes disagree by {v:.3e}"))
     return 0
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from ._serial import complexes, pairs, reals
 from .groups import CoeffVector, Perm, symmetric_group
 from .irreps import extract_blocks, irreps_s3, tensor_rep
-from .states import DensityMatrix, commutator, partial_trace, tensor
+from .states import DensityMatrix, _require, commutator, partial_trace, tensor
 
 __all__ = [
     "QTriple",
@@ -129,8 +129,8 @@ def _closed_rows(q) -> np.ndarray:
     """q as a complex (..., 3) array, each row checked as a QTriple in the sum-one gauge."""
     q = np.asarray(q, dtype=complex)
     norm, total = _closure_sums(q)
-    if not ((abs(norm - 1) <= _CONSTRAINT_TOL) & (abs(total - 1) <= _CONSTRAINT_TOL)).all():
-        raise ValueError("rows are not q-triples with sum |q_i|^2 = 1 and sum q_i = 1")
+    _require(np.maximum(abs(norm - 1), abs(total - 1)), _CONSTRAINT_TOL,
+             "rows are not q-triples with sum |q_i|^2 = 1 and sum q_i = 1")
     return q
 
 
@@ -150,10 +150,9 @@ class QTriple:
     def __post_init__(self):
         q = np.array([self.q1, self.q2, self.q3], dtype=complex)
         norm, total = _closure_sums(q)
-        if not abs(norm - 1) <= _CONSTRAINT_TOL:  # written so that NaN fails
-            raise ValueError(f"sum |q_i|^2 = {norm:.12g}, not 1")
-        if not abs(abs(total) - 1) <= _CONSTRAINT_TOL:
-            raise ValueError(f"|q1+q2+q3| = {abs(total):.12g}, not 1")
+        _require(abs(norm - 1), _CONSTRAINT_TOL, "sum |q_i|^2 = {:.12g}, not 1", quote=norm)
+        _require(abs(abs(total) - 1), _CONSTRAINT_TOL, "|q1+q2+q3| = {:.12g}, not 1",
+                 quote=abs(total))
         for name, value in zip(("q1", "q2", "q3"), _sum_one_gauge(q).tolist()):
             object.__setattr__(self, name, value)
 
@@ -194,13 +193,14 @@ class PDelta:
         d = np.asarray(self.deltas, dtype=float)
         if d.shape != (3,):
             raise ValueError("need three deltas (d12, d23, d31)")
-        if not abs(wrap_angle(d.sum())) <= _CONSTRAINT_TOL:
-            raise ValueError(f"delta sum {d.sum():.12g} is not 0 mod 2*pi")
+        with np.errstate(invalid="ignore"):  # an infinite sum wraps to NaN, which fails
+            wrapped = abs(wrap_angle(d.sum()))
+        _require(wrapped, _CONSTRAINT_TOL, "delta sum {:.12g} is not 0 mod 2*pi", quote=d.sum())
         r = np.sqrt(np.maximum(p, 0.0))
         cos_sum = (r[0] * r[1] * np.cos(d[0]) + r[1] * r[2] * np.cos(d[1])
                    + r[2] * r[0] * np.cos(d[2]))
-        if not abs(cos_sum) <= _CONSTRAINT_TOL:
-            raise ValueError(f"weighted cosine sum {cos_sum:.3e} does not vanish")
+        _require(abs(cos_sum), _CONSTRAINT_TOL, "weighted cosine sum {:.3e} does not vanish",
+                 quote=cos_sum)
         object.__setattr__(self, "p", tuple(float(v) for v in p))
         object.__setattr__(self, "deltas", tuple(float(v) for v in d))
 
@@ -311,6 +311,7 @@ def combine2_stacked(r1: np.ndarray, r2: np.ndarray, lam, sign) -> np.ndarray:
 def combine2_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, lam: float,
                         sign: int = +1) -> DensityMatrix:
     """Same channel evaluated the long way: conjugate by the partial swap, trace out."""
+    _mats(rho1, rho2)
     d = rho1.dim
     U = partial_swap_unitary(lam, d, sign)
     big = U @ tensor([rho1, rho2]).mat @ U.conj().T
@@ -323,8 +324,7 @@ def partial_swap_params(z1: complex, z2: complex) -> tuple[float, float, int]:
     Any unitary z1*I + z2*SWAP admits such a form; raises ValueError if
     the pair is not unitary (|z1+z2| and |z1-z2| must both be 1).
     """
-    if not (abs(abs(z1 + z2) - 1) <= _SWAP_TOL and abs(abs(z1 - z2) - 1) <= _SWAP_TOL):
-        raise ValueError("z1*I + z2*SWAP is not unitary")
+    _require(abs(np.abs([z1 + z2, z1 - z2]) - 1), _SWAP_TOL, "z1*I + z2*SWAP is not unitary")
     lam = min(abs(z1) ** 2, 1.0)
     if abs(z1) >= _SWAP_TOL:
         # unitarity makes z2/(i z1) exactly real, so arg(z1) is the phase
@@ -440,8 +440,7 @@ def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> S
     phi1 = -phi2 the coefficients split into real (z1..z3) and imaginary
     (z4..z6) parts and the first-order weights become state-independent.
     """
-    if not abs(abs(a) ** 2 + abs(c) ** 2 - 1) <= _CONSTRAINT_TOL:  # written so that NaN fails
-        raise ValueError("|a|^2 + |c|^2 must equal 1")
+    _require(abs(abs(a) ** 2 + abs(c) ** 2 - 1), _CONSTRAINT_TOL, "|a|^2 + |c|^2 must equal 1")
     if not np.isfinite([phi1, phi2]).all():
         raise ValueError("block phases must be finite")
     return S3Coeffs(_s3_z(*(np.array([x]) for x in (phi1, phi2, a, c)))[0])
@@ -469,8 +468,8 @@ def q_from_z(z: S3Coeffs) -> QTriple:
     result is rotated into the sum-one gauge by the QTriple constructor.
     """
     worst = np.abs(np.concatenate([z.z[:3].imag, z.z[3:].real])).max()
-    if not worst <= _CONSTRAINT_TOL:  # written so that NaN fails
-        raise GaugeViolation(f"coefficients not in the real/imaginary gauge (residual {worst:.3e})")
+    _require(worst, _CONSTRAINT_TOL, lambda v: GaugeViolation(
+        f"coefficients not in the real/imaginary gauge (residual {v:.3e})"))
     q = z.z[:3] + z.z[3:]
     return QTriple(*q)
 
@@ -544,8 +543,8 @@ def third_order_reduce(q: QTriple) -> tuple[float, float]:
     x = float(np.real(qa[0] * np.conj(qa[1])))
     y = float(np.real(qa[1] * np.conj(qa[2])))
     zsum = x + y + float(np.real(qa[2] * np.conj(qa[0])))
-    if not abs(zsum) <= _CONSTRAINT_TOL:  # written so that NaN fails
-        raise CoefficientSumNonzero(f"real overlaps sum to {zsum:.3e}")
+    _require(abs(zsum), _CONSTRAINT_TOL,
+             lambda v: CoefficientSumNonzero(f"real overlaps sum to {v:.3e}"), quote=zsum)
     return x, y
 
 
@@ -615,8 +614,7 @@ def delta_from_nested(spec: NestedSpec, p) -> PDelta:
     if p.min() <= 1e-15:
         raise DegenerateWeight(p)
     a, a_prime = nested_params_for_weights(p, spec.ordering)
-    if abs(a - spec.a) > 1e-9 or abs(a_prime - spec.a_prime) > 1e-9:
-        raise ValueError("spec weights do not reproduce p")
+    _require(np.abs([a - spec.a, a_prime - spec.a_prime]), 1e-9, "spec weights do not reproduce p")
     if spec.ordering == 1:
         d23, d31, d12 = _nested_delta_triplet(p[1], p[2], spec.s, spec.s_prime)
     elif spec.ordering == 2:

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .groups import CoeffVector, FiniteGroup, Perm, cyclic_group, symmetric_group
+from .states import _require
 
 __all__ = [
     "Irrep",
@@ -68,8 +69,9 @@ class NonUnitaryBlock(ValueError):
 
 
 def _unitarity_residual(U: np.ndarray) -> float:
-    d = U.shape[0]
-    return float(np.abs(U @ U.conj().T - np.eye(d)).max())
+    """Largest |U U^dag - I| entry over a (..., d, d) stack; NaN or inf if U is not finite."""
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which every check fails
+        return float(np.abs(U @ np.conj(np.swapaxes(U, -1, -2)) - np.eye(U.shape[-1])).max())
 
 
 @dataclass(frozen=True)
@@ -99,19 +101,16 @@ class IrrepSet:
             mats = np.asarray(r.matrices, dtype=complex)
             if mats.shape != (G.order, r.dim, r.dim):
                 raise ValueError(f"irrep {r.label!r} matrix array has wrong shape")
-            if not np.allclose(mats[G.identity_id], np.eye(r.dim), atol=_HOM_TOL):
-                raise ValueError(f"irrep {r.label!r} does not map identity to I")
+            _require(np.abs(mats[G.identity_id] - np.eye(r.dim)).max(), _HOM_TOL,
+                     lambda v: ValueError(f"irrep {r.label!r} does not map identity to I"))
             prod = np.einsum("gij,hjk->ghik", mats, mats)
-            # each check is written so that NaN fails
-            if not np.abs(prod - mats[G.cayley]).max() <= 1e-10:
-                raise ValueError(f"irrep {r.label!r} is not a homomorphism")
-            worst = np.max([_unitarity_residual(mats[g]) for g in G.elements])
-            if not worst <= 1e-12:
-                raise ValueError(f"irrep {r.label!r} matrices not unitary (residual {worst:.3e})")
+            _require(np.abs(prod - mats[G.cayley]).max(), 1e-10,
+                     lambda v: ValueError(f"irrep {r.label!r} is not a homomorphism"))
+            _require(_unitarity_residual(mats), 1e-12, lambda v: ValueError(
+                f"irrep {r.label!r} matrices not unitary (residual {v:.3e})"))
         chars = np.array([[np.trace(r.matrices[g]) for g in G.elements] for r in self.irreps])
         gram = chars @ chars.conj().T / G.order
-        if not np.abs(gram - np.eye(len(self.irreps))).max() <= 1e-10:
-            raise ValueError("characters are not orthonormal")
+        _require(np.abs(gram - np.eye(len(gram))).max(), 1e-10, "characters are not orthonormal")
 
     def __iter__(self):
         return iter(self.irreps)
@@ -189,13 +188,8 @@ def fourier_matrix(irreps: IrrepSet) -> np.ndarray:
     used by ``block_decompose``.
     """
     G = irreps.group
-    rows = []
-    for r in irreps:
-        scale = np.sqrt(r.dim / G.order)
-        for j in range(r.dim):
-            for k in range(r.dim):
-                rows.append(scale * r.matrices[:, j, k])
-    return np.array(rows)
+    return np.concatenate([np.sqrt(r.dim / G.order) * r.matrices.reshape(G.order, -1).T
+                           for r in irreps])
 
 
 def block_decompose(M: np.ndarray, irreps: IrrepSet) -> list[np.ndarray]:
@@ -207,7 +201,8 @@ def block_decompose(M: np.ndarray, irreps: IrrepSet) -> list[np.ndarray]:
     """
     G = irreps.group
     F = fourier_matrix(irreps)
-    hat = F @ np.asarray(M, dtype=complex) @ F.conj().T
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which the check fails
+        hat = F @ np.asarray(M, dtype=complex) @ F.conj().T
     blocks = []
     model = np.zeros_like(hat)
     off = 0
@@ -216,12 +211,9 @@ def block_decompose(M: np.ndarray, irreps: IrrepSet) -> list[np.ndarray]:
         sub = hat[off:off + d * d, off:off + d * d].reshape(d, d, d, d)
         B = np.einsum("jkpk->jp", sub) / d
         blocks.append(B)
-        model[off:off + d * d, off:off + d * d] = np.einsum(
-            "jp,kq->jkpq", B, np.eye(d)).reshape(d * d, d * d)
+        model[off:off + d * d, off:off + d * d] = np.kron(B, np.eye(d))
         off += d * d
-    residual = float(np.abs(hat - model).max())
-    if not residual <= UNITARY_TOL:  # written so that NaN fails
-        raise NotBlockDiagonal(residual)
+    _require(np.abs(hat - model).max(), UNITARY_TOL, NotBlockDiagonal)
     return blocks
 
 
@@ -239,9 +231,7 @@ def synthesize_coeffs(blocks: BlockUnitaries, irreps: IrrepSet) -> CoeffVector:
         U = np.asarray(U, dtype=complex)
         if U.shape != (r.dim, r.dim):
             raise ValueError(f"block for {r.label!r} has wrong shape")
-        res = _unitarity_residual(U)
-        if not res <= UNITARY_TOL:  # written so that NaN fails
-            raise NonUnitaryBlock(r.label, res)
+        _require(_unitarity_residual(U), UNITARY_TOL, lambda v: NonUnitaryBlock(r.label, v))
         z += (r.dim / G.order) * np.einsum("gji,ji->g", r.matrices.conj(), U)
     return CoeffVector(G, z)
 
@@ -258,9 +248,7 @@ def extract_blocks(z: CoeffVector, irreps: IrrepSet) -> BlockUnitaries:
     out = []
     for r in irreps:
         B = np.einsum("g,gjk->jk", z.coeffs, r.matrices)
-        res = _unitarity_residual(B)
-        if not res <= UNITARY_TOL:  # written so that NaN fails
-            raise NonUnitaryBlock(r.label, res)
+        _require(_unitarity_residual(B), UNITARY_TOL, lambda v: NonUnitaryBlock(r.label, v))
         out.append(B)
     return BlockUnitaries(tuple(out), tuple(r.label for r in irreps))
 
@@ -383,7 +371,7 @@ def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int) -> list[Coef
         x0 = np.concatenate([rng.uniform(0, 2 * np.pi, 2), rng.normal(size=4)])
         res = minimize(residuals, x0)
         z = _s3_phase_coeffs(res.x, irreps)
-        if z is None or np.abs(np.abs(z.coeffs) - target).max() > _FLAT_TOL:
+        if z is None or not _require(np.abs(np.abs(z.coeffs) - target).max(), _FLAT_TOL):
             continue
         extract_blocks(z, irreps)  # unitarity guaranteed by construction; keep honest
         key = tuple(np.round(np.concatenate([z.coeffs.real, z.coeffs.imag]), 6))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combine import QTriple, _closed_rows, _is_probability_triple, cos_vanishes, wrap_angle
+from .states import _require
 
 __all__ = [
     "LinkageSpec",
@@ -48,8 +49,7 @@ class LinkageSpec:
         if not 0 <= self.a <= self.b <= self.c <= 1:
             raise ValueError("lengths must satisfy 0 <= a <= b <= c <= 1")
         norm = self.a**2 + self.b**2 + self.c**2
-        if abs(norm - 1) > _SUM_TOL:
-            raise ValueError(f"squared lengths sum to {norm:.12g}, not 1")
+        _require(abs(norm - 1), _SUM_TOL, "squared lengths sum to {:.12g}, not 1", quote=norm)
 
     @classmethod
     def from_weights(cls, p) -> tuple["LinkageSpec", tuple[float, float, float]]:
@@ -91,9 +91,8 @@ def _check_assignment(spec: LinkageSpec, assignment) -> tuple[float, float, floa
     if assignment is None:
         return spec.lengths()
     r = tuple(float(v) for v in assignment)
-    # written so that NaN fails
-    if len(r) != 3 or not all(abs(x - y) <= 1e-12 for x, y in zip(sorted(r), spec.lengths())):
-        raise ValueError("assignment must be a permutation of the spec lengths")
+    residual = np.abs(np.sort(r) - spec.lengths()) if len(r) == 3 else np.inf
+    _require(residual, 1e-12, "assignment must be a permutation of the spec lengths")
     return r
 
 
@@ -110,6 +109,8 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> lis
     the 1e-10 QTriple accepts; beyond it there is no configuration.
     """
     r1, r2, r3 = _check_assignment(spec, assignment)
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
     D = abs(1.0 - r1 * np.exp(1j * theta))
     if D < _ZERO_RADIUS:
         if r2 < _TANGENT_TOL and r3 < _TANGENT_TOL:

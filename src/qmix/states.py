@@ -55,6 +55,8 @@ class DensityMatrix:
         M = np.asarray(mat, dtype=complex)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("density matrix must be square")
+        if not M.size:
+            raise ValueError("density matrix must be non-empty")
         self.mat = M
         self.dim = M.shape[0]
         if check:
@@ -76,14 +78,13 @@ class DensityMatrix:
     @classmethod
     def from_probs(cls, p) -> "DensityMatrix":
         p = np.asarray(p, dtype=float)
-        if not ((p >= 0).all() and abs(p.sum() - 1) <= _TRACE_TOL):  # NaN fails
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        _require(-p, 0.0, "probabilities must be nonnegative and sum to 1")
+        _require(abs(p.sum() - 1), _TRACE_TOL, "probabilities must be nonnegative and sum to 1")
         return cls(np.diag(p.astype(complex)), check=False)
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "DensityMatrix":
-        if not x * x + y * y + z * z <= 1 + 1e-12:  # NaN fails
-            raise ValueError("Bloch vector must lie in the unit ball")
+        _require(x * x + y * y + z * z, 1 + 1e-12, "Bloch vector must lie in the unit ball")
         M = 0.5 * (np.eye(2) + x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"])
         return cls(M, check=False)
 
@@ -109,26 +110,33 @@ def density_spectra(M) -> np.ndarray:
 
     Raises ValueError unless every matrix is Hermitian within 1e-12, has
     trace within 1e-10 of one and minimum eigenvalue >= -1e-9 (slack for
-    the numerically rounded outputs of the combination maps).  NaN fails
-    each check; the message quotes the first failing matrix.
+    the numerically rounded outputs of the combination maps).  NaN and
+    infinite entries fail; the message quotes the first failing matrix.
     """
     M = np.asarray(M, dtype=complex)
-    herm = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-2, -1))
-    _require(herm <= _HERM_TOL, "not Hermitian (residual {:.3e})", herm)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check fails
+        herm = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-2, -1))
+    _require(herm, _HERM_TOL, "not Hermitian (residual {:.3e})")
     tr = M.trace(axis1=-2, axis2=-1)
-    _require(abs(tr - 1) <= _TRACE_TOL, "trace is {:.12g}, not 1", tr)
+    _require(abs(tr - 1), _TRACE_TOL, "trace is {:.12g}, not 1", quote=tr)
     lam = np.linalg.eigvalsh(M)
-    _require(lam[..., 0] >= _PSD_TOL, "negative eigenvalue {:.3e}", lam[..., 0])
+    _require(-lam[..., 0], -_PSD_TOL, "negative eigenvalue {:.3e}", quote=lam[..., 0])
     return lam
 
 
-def _require(ok: np.ndarray, message: str, values: np.ndarray) -> None:
-    """Raise ValueError quoting the first of ``values`` where ``ok`` fails.
+def _require(residual, tol, error=None, quote=None) -> bool:
+    """Whether every ``residual`` is finite and within ``tol``: the package's one tolerance check.
 
-    Each check passes ``residual <= tol`` or ``value >= tol`` as ``ok``, so NaN fails it.
+    NaN and +-inf fail and an empty stack passes.  With ``error`` a failure raises it, built
+    from the first failing entry of ``quote`` (default ``residual``): a str is the template
+    of a ValueError message, anything else is called with the entry.
     """
-    if not ok.all():
-        raise ValueError(message.format(values[~ok][0]))
+    r = np.asarray(residual)
+    ok = np.isfinite(r) & (r <= tol)
+    if error is None or ok.all():
+        return bool(ok.all())
+    value = np.asarray(r if quote is None else quote)[~ok][0].item()
+    raise ValueError(error.format(value)) if isinstance(error, str) else error(value)
 
 
 def _as_matrix(rho) -> np.ndarray:

@@ -43,6 +43,7 @@ from qmix.groups import Perm
 from qmix.states import (
     DensityMatrix,
     commutator,
+    density_spectra,
     entropy,
     get_functional,
     random_density,
@@ -131,10 +132,11 @@ class TestCombine2:
         dev = covariance_check(lambda a, b: combine2(a, b, 0.37, -1), V, (r1, r2))
         assert dev < 1e-10
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            combine2(DensityMatrix.maximally_mixed(2),
-                     DensityMatrix.maximally_mixed(3), 0.5)
+    @pytest.mark.parametrize("combine", [combine2, combine2_bruteforce],
+                             ids=["combine2", "combine2_bruteforce"])
+    def test_dim_mismatch(self, combine):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            combine(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3), 0.5)
 
     def test_epi_smoke(self):
         rng = np.random.default_rng(3)
@@ -782,12 +784,23 @@ def _pdelta_with_fourth_delta() -> PDelta:
     lambda: s3_coeffs_from_phases(0, np.inf, 1, 0),
     lambda: PDelta((0.2, 0.3, 0.5), (0.1, -0.1)),
     _pdelta_with_fourth_delta,
+    lambda: DensityMatrix([[np.inf, 0], [0, 1]]),
+    lambda: DensityMatrix([[-np.inf, 0], [0, 1]]),
+    lambda: DensityMatrix([[0.5, np.inf], [np.inf, 0.5]]),
+    lambda: density_spectra(np.array([np.eye(2) / 2, [[np.inf, 0], [0, 1]]])),
+    lambda: PDelta((0.2, 0.3, 0.5), (np.inf, 0, 0)),
+    lambda: PDelta((0.2, 0.3, 0.5), (-np.inf, 0, 0)),
+    lambda: synthesize_coeffs(BlockUnitaries((np.array([[np.inf]]),)), irreps_cyclic(1)),
+    lambda: block_decompose(np.full((6, 6), np.inf), irreps_s3()),
 ], ids=["qtriple", "density", "pdelta", "s3coeffs", "synthesis", "nested-weights",
         "partial-swap", "from-probs", "from-bloch", "block-decompose", "s3-from-phases",
         "irrep-set", "closed-rows-nan", "closed-rows-off-norm", "q-from-z",
         "third-order-reduce", "pure-zero", "pure-nan", "pure-inf", "s3-from-phases-nan-phi1",
-        "s3-from-phases-inf-phi2", "pdelta-two-deltas", "pdelta-four-deltas"])
+        "s3-from-phases-inf-phi2", "pdelta-two-deltas", "pdelta-four-deltas",
+        "density-inf", "density-neg-inf", "density-inf-off-diagonal", "density-spectra-inf",
+        "pdelta-inf", "pdelta-neg-inf", "synthesis-inf", "block-decompose-inf"])
 def test_nan_fails_validation(build):
+    # the check's own ValueError, not a numpy warning (pytest makes warnings errors)
     with pytest.raises(ValueError):
         build()
 

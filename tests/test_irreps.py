@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from qmix.groups import CoeffVector, Perm, cyclic_group, regular_lincomb, symmetric_group
 from qmix.irreps import (
     BlockUnitaries,
+    Irrep,
+    IrrepSet,
     NonUnitaryBlock,
     NotBlockDiagonal,
     block_decompose,
@@ -45,6 +47,12 @@ class TestIrrepSets:
             for g in S3.elements:
                 for h in S3.elements:
                     assert_allclose(r(g) @ r(h), r(S3.mul(g, h)), atol=1e-14)
+
+    def test_identity_image_within_its_absolute_tolerance(self):
+        # (1 + 1e-6) I is 1e-6 from I: outside the 1e-12 identity check, with no relative slack
+        off = Irrep("chi0", 1, np.full((1, 1, 1), 1 + 1e-6, dtype=complex))
+        with pytest.raises(ValueError, match="identity"):
+            IrrepSet(cyclic_group(1), (off,))
 
     def test_characters_match_alt_basis(self):
         alt = s3_two_dim_alt()

@@ -186,6 +186,11 @@ class TestSolveConfigs:
         with pytest.raises(ValueError, match="assignment must be a permutation"):
             solve(spec, r)
 
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan], ids=["inf", "neg-inf", "nan"])
+    def test_non_finite_theta_is_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            solve_configs(uniform_spec(), None, theta)
+
     def test_zero_bar(self):
         spec, _ = LinkageSpec.from_weights((0.0, 0.5, 0.5))
         cfgs = solve_configs(spec, theta=0.0)

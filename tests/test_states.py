@@ -16,6 +16,7 @@ from qmix.states import (
     partial_trace,
     random_density,
     tensor,
+    _require,
 )
 
 S3 = symmetric_group(3)
@@ -38,6 +39,10 @@ class TestDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            DensityMatrix(np.zeros((0, 0)))
 
     def test_pure_normalizes(self):
         rho = DensityMatrix.pure([2, 0])
@@ -93,6 +98,33 @@ class TestDensitySpectra:
 
     def test_empty_stack(self):
         assert density_spectra(np.empty((0, 2, 2), complex)).shape == (0, 2)
+
+
+class TestRequire:
+    """The one tolerance check every validator in the package goes through."""
+
+    def test_nan_and_infinities_fail(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            assert _require(bad, 1.0) is False
+            with pytest.raises(ValueError, match=f"bad {bad}"):
+                _require(np.array([0.0, bad]), 1.0, "bad {}")
+
+    def test_empty_stack_passes(self):
+        assert _require(np.empty(0), 0.0, "never raised") is True
+
+    def test_quotes_the_first_failing_entry(self):
+        with pytest.raises(ValueError, match="value 3"):
+            _require([0.5, 2.0, 1.5], [1.0, 3.0, 1.0], "value {}", quote=[1, 2, 3])
+
+    def test_builds_the_checks_own_exception(self):
+        class Custom(ValueError):
+            def __init__(self, residual):
+                self.residual = residual
+                super().__init__(f"residual {residual}")
+
+        with pytest.raises(Custom, match="residual 0.25") as info:
+            _require(0.25, 0.125, Custom)
+        assert info.value.residual == 0.25
 
 
 class TestTensorAndTrace:
