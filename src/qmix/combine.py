@@ -6,7 +6,7 @@ product state by a unitary element of the S3 group algebra and keeps the
 first factor.  Three independent evaluators are provided and
 cross-checked in the tests:
 
-* ``combine3_bruteforce`` — build the big unitary, conjugate, trace out;
+* ``combine3_bruteforce`` — permute tensor factors of rho1 (x) rho2 (x) rho3, keep factor 1;
 * ``combine3_magic``      — the explicit 36-term operator expansion;
 * ``combine3_closed``     — the nine-term closed form in the q-parametrization.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from ._serial import complexes, pairs, reals
 from .groups import CoeffVector, Perm, symmetric_group
-from .irreps import extract_blocks, irreps_s3, tensor_rep
+from .irreps import _factor_axes, extract_blocks, irreps_s3, tensor_rep
 from .states import DensityMatrix, _require, commutator, partial_trace, tensor
 
 __all__ = [
@@ -114,7 +114,8 @@ def _is_probability_triple(p: np.ndarray) -> bool:
 
 def _closure_sums(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sum |q_i|^2, sum q_i) over the last axis: both 1 on a q-triple in the sum-one gauge."""
-    return (np.abs(q) ** 2).sum(axis=-1), q.sum(axis=-1)
+    with np.errstate(over="ignore"):  # an overflow is inf, which every check fails
+        return (np.abs(q) ** 2).sum(axis=-1), q.sum(axis=-1)
 
 
 def _sum_one_gauge(q: np.ndarray) -> np.ndarray:
@@ -193,9 +194,10 @@ class PDelta:
         d = np.asarray(self.deltas, dtype=float)
         if d.shape != (3,):
             raise ValueError("need three deltas (d12, d23, d31)")
-        with np.errstate(invalid="ignore"):  # an infinite sum wraps to NaN, which fails
-            wrapped = abs(wrap_angle(d.sum()))
-        _require(wrapped, _CONSTRAINT_TOL, "delta sum {:.12g} is not 0 mod 2*pi", quote=d.sum())
+        with np.errstate(invalid="ignore", over="ignore"):  # inf wraps to NaN, which fails
+            total = d.sum()
+            wrapped = abs(wrap_angle(total))
+        _require(wrapped, _CONSTRAINT_TOL, "delta sum {:.12g} is not 0 mod 2*pi", quote=total)
         r = np.sqrt(np.maximum(p, 0.0))
         cos_sum = (r[0] * r[1] * np.cos(d[0]) + r[1] * r[2] * np.cos(d[1])
                    + r[2] * r[0] * np.cos(d[2]))
@@ -349,15 +351,19 @@ def _mats(*rhos: DensityMatrix) -> list[np.ndarray]:
 
 def combine3_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
                         z: S3Coeffs) -> DensityMatrix:
-    """Conjugate rho1 (x) rho2 (x) rho3 by U = sum_i z_i Q_i and keep factor 1."""
+    """Permute tensor factors of rho1 (x) rho2 (x) rho3 by U = sum_i z_i Q_i, keep factor 1."""
     _mats(rho1, rho2, rho3)
     d = rho1.dim
     if d > 8:
         raise ValueError("brute force capped at local dimension 8")
     z.validate_unitary()
-    U = sum(z.z[g] * tensor_rep(_S3.perms[g], d) for g in range(6))
-    big = U @ tensor([rho1, rho2, rho3]).mat @ U.conj().T
-    return DensityMatrix(partial_trace(big, {1}, d, 3))
+    X = tensor([rho1, rho2, rho3]).mat.reshape((d,) * 6)
+    # term (g, h) of U X U^dag is X with its row axes permuted by g and its column axes
+    # by h; tracing out factors 2 and 3 reads only the diagonal of that view
+    terms = list(zip(z.z, (_factor_axes(p) for p in _S3.perms)))
+    return DensityMatrix(sum(
+        zg * np.conj(zh) * np.einsum("abcdbc->ad", X.transpose(g + tuple(3 + k for k in h)))
+        for zg, g in terms for zh, h in terms))
 
 
 def combine3_magic(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
@@ -552,18 +558,10 @@ def third_order_reduce(q: QTriple) -> tuple[float, float]:
 # nested two-level binary expressions
 
 
-def _nested_states(ordering: int, rho1, rho2, rho3):
-    if ordering == 1:
-        return rho1, rho2, rho3
-    if ordering == 2:
-        return rho2, rho3, rho1
-    return rho3, rho1, rho2
-
-
 def nested_expand(spec: NestedSpec, rho1: DensityMatrix, rho2: DensityMatrix,
                   rho3: DensityMatrix) -> DensityMatrix:
     """Evaluate the two-level binary expression outer (+/-)_a (left (+/-)_a' right)."""
-    outer, left, right = _nested_states(spec.ordering, rho1, rho2, rho3)
+    outer, left, right = ((rho1, rho2, rho3) * 2)[spec.ordering - 1:spec.ordering + 2]
     inner = combine2(left, right, spec.a_prime, +1 if spec.s_prime == 0 else -1)
     return combine2(outer, inner, spec.a, +1 if spec.s == 0 else -1)
 
@@ -615,13 +613,10 @@ def delta_from_nested(spec: NestedSpec, p) -> PDelta:
         raise DegenerateWeight(p)
     a, a_prime = nested_params_for_weights(p, spec.ordering)
     _require(np.abs([a - spec.a, a_prime - spec.a_prime]), 1e-9, "spec weights do not reproduce p")
-    if spec.ordering == 1:
-        d23, d31, d12 = _nested_delta_triplet(p[1], p[2], spec.s, spec.s_prime)
-    elif spec.ordering == 2:
-        d31, d12, d23 = _nested_delta_triplet(p[2], p[0], spec.s, spec.s_prime)
-    else:
-        d12, d23, d31 = _nested_delta_triplet(p[0], p[1], spec.s, spec.s_prime)
-    return PDelta(tuple(p), (d12, d23, d31))
+    # (d_BC, d_CA, d_AB) with A the outer state, rolled into (d12, d23, d31)
+    k = spec.ordering % 3
+    triplet = _nested_delta_triplet(p[k], p[(k + 1) % 3], spec.s, spec.s_prime)
+    return PDelta(tuple(p), tuple(np.roll(triplet, k)))
 
 
 def nested_from_delta(pd: PDelta) -> NestedSpec:

@@ -70,7 +70,7 @@ class NonUnitaryBlock(ValueError):
 
 def _unitarity_residual(U: np.ndarray) -> float:
     """Largest |U U^dag - I| entry over a (..., d, d) stack; NaN or inf if U is not finite."""
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which every check fails
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail every check
         return float(np.abs(U @ np.conj(np.swapaxes(U, -1, -2)) - np.eye(U.shape[-1])).max())
 
 
@@ -201,7 +201,7 @@ def block_decompose(M: np.ndarray, irreps: IrrepSet) -> list[np.ndarray]:
     """
     G = irreps.group
     F = fourier_matrix(irreps)
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which the check fails
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail the check
         hat = F @ np.asarray(M, dtype=complex) @ F.conj().T
     blocks = []
     model = np.zeros_like(hat)
@@ -253,6 +253,11 @@ def extract_blocks(z: CoeffVector, irreps: IrrepSet) -> BlockUnitaries:
     return BlockUnitaries(tuple(out), tuple(r.label for r in irreps))
 
 
+def _factor_axes(p: Perm) -> tuple[int, ...]:
+    """Axes for which ``T.transpose(axes)`` is ``tensor_rep(p, d)`` applied to a (d,)*n tensor T."""
+    return tuple(i - 1 for i in p.inverse().images)
+
+
 def tensor_rep(p: Perm, d: int) -> np.ndarray:
     """Permutation p acting on (C^d)^(x n), n = p.n, by permuting tensor factors.
 
@@ -266,13 +271,9 @@ def tensor_rep(p: Perm, d: int) -> np.ndarray:
     size = d**n
     if size > _TENSOR_SIZE_CAP:
         raise ValueError(f"matrix size {size} exceeds cap {_TENSOR_SIZE_CAP}")
-    pinv = p.inverse()
-    cols = np.arange(size)
-    digits = np.array(np.unravel_index(cols, (d,) * n))
-    rows = np.ravel_multi_index(tuple(digits[pinv(k + 1) - 1] for k in range(n)), (d,) * n)
-    Q = np.zeros((size, size), dtype=complex)
-    Q[rows, cols] = 1.0
-    return Q
+    # column c of Q is Q e_c: the identity with its row axes permuted
+    eye = np.eye(size, dtype=complex).reshape((d,) * n + (size,))
+    return eye.transpose(_factor_axes(p) + (n,)).reshape(size, size)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

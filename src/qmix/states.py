@@ -65,7 +65,8 @@ class DensityMatrix:
     @classmethod
     def pure(cls, psi) -> "DensityMatrix":
         v = np.asarray(psi, dtype=complex)
-        norm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails
+            norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:  # NaN fails
             raise ValueError("state vector must be finite and nonzero")
         v = v / norm
@@ -79,12 +80,14 @@ class DensityMatrix:
     def from_probs(cls, p) -> "DensityMatrix":
         p = np.asarray(p, dtype=float)
         _require(-p, 0.0, "probabilities must be nonnegative and sum to 1")
-        _require(abs(p.sum() - 1), _TRACE_TOL, "probabilities must be nonnegative and sum to 1")
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, which fails
+            _require(abs(p.sum() - 1), _TRACE_TOL, "probabilities must be nonnegative and sum to 1")
         return cls(np.diag(p.astype(complex)), check=False)
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "DensityMatrix":
-        _require(x * x + y * y + z * z, 1 + 1e-12, "Bloch vector must lie in the unit ball")
+        with np.errstate(over="ignore"):  # an overflowing square is inf, which fails
+            _require(x * x + y * y + z * z, 1 + 1e-12, "Bloch vector must lie in the unit ball")
         M = 0.5 * (np.eye(2) + x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"])
         return cls(M, check=False)
 
@@ -114,10 +117,10 @@ def density_spectra(M) -> np.ndarray:
     infinite entries fail; the message quotes the first failing matrix.
     """
     M = np.asarray(M, dtype=complex)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check fails
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail the checks
         herm = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-2, -1))
+        tr = M.trace(axis1=-2, axis2=-1)
     _require(herm, _HERM_TOL, "not Hermitian (residual {:.3e})")
-    tr = M.trace(axis1=-2, axis2=-1)
     _require(abs(tr - 1), _TRACE_TOL, "trace is {:.12g}, not 1", quote=tr)
     lam = np.linalg.eigvalsh(M)
     _require(-lam[..., 0], -_PSD_TOL, "negative eigenvalue {:.3e}", quote=lam[..., 0])

@@ -36,9 +36,9 @@ from qmix.combine import (
     z_from_q,
     _closed_rows,
 )
-from qmix.irreps import (BlockUnitaries, Irrep, IrrepSet, NonUnitaryBlock, block_decompose,
-                         extract_blocks, haar_unitary, irreps_cyclic, irreps_s3,
-                         synthesize_coeffs, tensor_rep)
+from qmix.irreps import (BlockUnitaries, Irrep, IrrepSet, NonUnitaryBlock, NotBlockDiagonal,
+                         block_decompose, extract_blocks, haar_unitary, irreps_cyclic, irreps_s3,
+                         random_block_unitaries, synthesize_coeffs, tensor_rep)
 from qmix.groups import Perm
 from qmix.states import (
     DensityMatrix,
@@ -46,7 +46,9 @@ from qmix.states import (
     density_spectra,
     entropy,
     get_functional,
+    partial_trace,
     random_density,
+    tensor,
 )
 
 from conftest import random_s3_phases
@@ -349,7 +351,7 @@ class TestPDeltaConversions:
 
 
 class TestTernaryEquivalence:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 8])  # combine --verify runs at d = 8
     def test_closed_magic_brute(self, d):
         rng = np.random.default_rng(d)
         for _ in range(20):
@@ -361,6 +363,17 @@ class TestTernaryEquivalence:
             c = combine3_bruteforce(*rhos, z).mat
             assert np.abs(a - b).max() < 1e-10
             assert np.abs(a - c).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_brute_matches_dense_conjugation(self, d):
+        # the definition written out: build U = sum_g z_g Q_g, conjugate, trace out 2 and 3
+        rng = np.random.default_rng(40 + d)
+        for _ in range(5):
+            rhos = [random_density(d, seed=rng) for _ in range(3)]
+            z = S3Coeffs(synthesize_coeffs(random_block_unitaries(IR3, rng), IR3).coeffs)
+            U = sum(z.z[g] * tensor_rep(IR3.group.perms[g], d) for g in range(6))
+            dense = partial_trace(U @ tensor(rhos).mat @ U.conj().T, {1}, d, 3)
+            assert np.abs(dense - combine3_bruteforce(*rhos, z).mat).max() < 1e-12
 
     def test_pdelta_path(self):
         rng = np.random.default_rng(16)
@@ -802,6 +815,24 @@ def _pdelta_with_fourth_delta() -> PDelta:
 def test_nan_fails_validation(build):
     # the check's own ValueError, not a numpy warning (pytest makes warnings errors)
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: DensityMatrix.from_bloch(np.float64(1e200), 0, 0), ValueError, "unit ball"),
+    (lambda: DensityMatrix([[1e308, 0], [0, 1e308]]), ValueError, "trace is"),
+    (lambda: QTriple(1e200, 0, 0), ValueError, r"sum \|q_i\|\^2"),
+    (lambda: PDelta((0.2, 0.3, 0.5), (1e308, 1e308, 0)), ValueError, "delta sum"),
+    (lambda: DensityMatrix.from_probs([1e308, 1e308]), ValueError, "sum to 1"),
+    (lambda: DensityMatrix.pure([1e200, 1e200]), ValueError, "finite and nonzero"),
+    (lambda: synthesize_coeffs(BlockUnitaries((np.array([[1e200]]),)), irreps_cyclic(1)),
+     NonUnitaryBlock, "not unitary"),
+    (lambda: block_decompose(np.full((6, 6), 1e308), irreps_s3()), NotBlockDiagonal, "off-block"),
+], ids=["from-bloch", "density", "qtriple", "pdelta", "from-probs", "pure", "synthesis",
+        "block-decompose"])
+def test_overflow_fails_with_the_checks_own_error(build, error, match):
+    # finite inputs whose residual overflows to inf: the check fails, no numpy overflow warning
+    with pytest.raises(error, match=match):
         build()
 
 

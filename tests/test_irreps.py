@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qmix.groups import CoeffVector, Perm, cyclic_group, regular_lincomb, symmetric_group
 from qmix.irreps import (
@@ -20,6 +20,7 @@ from qmix.irreps import (
     s3_two_dim_alt,
     synthesize_coeffs,
     tensor_rep,
+    _factor_axes,
 )
 
 S3 = symmetric_group(3)
@@ -166,7 +167,37 @@ class TestSynthesis:
             assert unitarity_residual(U) < 1e-12
 
 
+def _indexed_tensor_rep(p: Perm, d: int) -> np.ndarray:
+    """tensor_rep as an index scatter: |i_1 ... i_n> goes to |i_{p^{-1}(1)} ... i_{p^{-1}(n)}>."""
+    n, size = p.n, d**p.n
+    pinv = p.inverse()
+    cols = np.arange(size)
+    digits = np.array(np.unravel_index(cols, (d,) * n))
+    rows = np.ravel_multi_index(tuple(digits[pinv(k + 1) - 1] for k in range(n)), (d,) * n)
+    Q = np.zeros((size, size), dtype=complex)
+    Q[rows, cols] = 1.0
+    return Q
+
+
 class TestTensorRep:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_axis_action_is_the_matrix(self, n, d):
+        # transposing the (d,)*n view by _factor_axes(p) is exactly tensor_rep(p, d) @ vec
+        rng = np.random.default_rng(10 * n + d)
+        for p in symmetric_group(n).perms:
+            vec = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+            moved = vec.reshape((d,) * n).transpose(_factor_axes(p)).reshape(-1)
+            assert_array_equal(moved, tensor_rep(p, d) @ vec)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bitwise_equal_to_index_scatter(self, n, d):
+        for p in symmetric_group(n).perms:
+            Q, ref = tensor_rep(p, d), _indexed_tensor_rep(p, d)
+            assert Q.dtype == ref.dtype and Q.shape == ref.shape
+            assert Q.tobytes() == ref.tobytes()
+
     def test_identity(self):
         assert_allclose(tensor_rep(Perm.identity(3), 2), np.eye(8), atol=0)
 
