@@ -33,9 +33,10 @@ from .combine import (
     GaugeViolation,
     PDelta,
     QTriple,
-    S3Coeffs,
+    _S3,
     _balanced_q_rows,
     combine2,
+    combine2_bruteforce,
     combine2_stacked,
     combine3_bruteforce,
     combine3_closed,
@@ -47,7 +48,7 @@ from .combine import (
     s3_coeffs_from_phases,
     z_from_q,
 )
-from .groups import regular_lincomb
+from .groups import CoeffVector, regular_lincomb
 from .irreps import (
     UNITARY_TOL,
     BlockUnitaries,
@@ -230,16 +231,13 @@ def _states_from_file(path: str) -> list[DensityMatrix]:
     return states
 
 
-def _ternary_params(doc: dict) -> tuple[QTriple | None, S3Coeffs]:
+def _ternary_params(doc: dict) -> tuple[QTriple | None, CoeffVector]:
     """(q, z) from a params file; q is None when the gauge does not hold."""
-    if "q" in doc:
-        q = QTriple.from_json(doc["q"])
-        return q, z_from_q(q)
-    if "p" in doc and "deltas" in doc:
-        q = q_from_pdelta(PDelta.from_json(doc))
+    if "q" in doc or ("p" in doc and "deltas" in doc):
+        q = QTriple.from_json(doc["q"]) if "q" in doc else q_from_pdelta(PDelta.from_json(doc))
         return q, z_from_q(q)
     if "z" in doc:
-        z = S3Coeffs.from_json(doc["z"])
+        z = CoeffVector(_S3, complexes(doc["z"], (6,), "z"))
     elif "phases" in doc:
         z = s3_coeffs_from_phases(*_s3_phases(doc["phases"]))
     else:
@@ -257,7 +255,6 @@ def _cmd_combine(args) -> int:
     if not isinstance(params, dict):
         raise CliError(2, "params file must be a JSON object")
     d = states[0].dim
-    verify_diff = None
     if len(states) == 2:
         if "lambda" not in params:
             raise CliError(2, "binary combination needs a 'lambda' parameter")
@@ -266,7 +263,10 @@ def _cmd_combine(args) -> int:
         if isinstance(sign, bool) or sign not in (+1, -1):
             raise CliError(2, "'sign' must be +1 or -1")
         sign = int(sign)
-        out = combine2(states[0], states[1], lam, sign)
+        outs = {"binary": combine2(*states, lam, sign)}
+        if args.verify:
+            outs["brute"] = combine2_bruteforce(*states, lam, sign)
+        out = outs["binary"]
         mode_info = {"lambda": lam, "sign": sign}
     else:
         q, z = _ternary_params(params)
@@ -278,12 +278,9 @@ def _cmd_combine(args) -> int:
         outs = {m: f(*states, c) for m, (f, c) in evaluators.items()
                 if m == args.mode or (args.verify and c is not None)}
         out = outs[args.mode]
-        mode_info = {"z": z.to_json()}
+        mode_info = {"z": pairs(z.coeffs)}
         if q is not None:
             mode_info["q"] = q.to_json()
-        if args.verify:
-            mats = np.array([o.mat for o in outs.values()])
-            verify_diff = float(np.abs(mats[:, None] - mats[None]).max())
     M = out.mat
     report = {
         "dim": d,
@@ -300,11 +297,12 @@ def _cmd_combine(args) -> int:
     if d == 2:
         report["bloch"] = list(bloch_vector(out))
         report["bloch_inputs"] = [list(bloch_vector(s)) for s in states]
-    if verify_diff is not None:
-        report["verify"] = {"max_mode_diff": verify_diff}
+    if args.verify:
+        mats = np.array([o.mat for o in outs.values()])
+        report["verify"] = {"max_mode_diff": float(np.abs(mats[:, None] - mats[None]).max())}
     _emit(_wrap("combine", report, time.perf_counter() - t0), args.out)
-    if verify_diff is not None:
-        _require(verify_diff, UNITARY_TOL,
+    if args.verify:
+        _require(report["verify"]["max_mode_diff"], UNITARY_TOL,
                  lambda v: CliError(4, f"combination modes disagree by {v:.3e}"))
     return 0
 

@@ -1,19 +1,19 @@
 """Binary and ternary unitary mixing of density matrices.
 
-The binary operation feeds two states through a partial swap and
-discards one output; the ternary operation conjugates a three-fold
-product state by a unitary element of the S3 group algebra and keeps the
-first factor.  Three independent evaluators are provided and
-cross-checked in the tests:
+Both operations conjugate rho_1 (x) ... (x) rho_n by a unitary element
+U = sum_g z_g Q_g of the S_n group algebra, Q_g permuting the tensor
+factors, and keep the first factor: the binary partial swap is n = 2,
+the ternary operation n = 3, and S3 coefficients are ``CoeffVector``s
+over ``symmetric_group(3)``.  The ternary evaluators, cross-checked in
+the tests:
 
 * ``combine3_bruteforce`` — permute tensor factors of rho1 (x) rho2 (x) rho3, keep factor 1;
 * ``combine3_magic``      — the explicit 36-term operator expansion;
 * ``combine3_closed``     — the nine-term closed form in the q-parametrization.
 
-The closed form and the binary partial swap are evaluated on stacks:
-``combine3_closed_stacked`` and ``combine2_stacked`` take (..., d, d)
-states and broadcast parameters, and the single-state entry points are
-batches of one.
+``combine2_bruteforce`` is the same permutation channel at n = 2.  The
+closed form and the binary mix also run on (..., d, d) stacks, of which
+the single-state entry points are batches of one.
 
 The q-triple (sum |q_i|^2 = 1, sum q_i = 1), its polar (p, delta) form,
 and nested two-level binary expressions are interconvertible here, with
@@ -27,14 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serial import complexes, pairs, reals
-from .groups import CoeffVector, Perm, symmetric_group
+from .groups import CoeffVector, FiniteGroup, symmetric_group
 from .irreps import _factor_axes, extract_blocks, irreps_s3, tensor_rep
-from .states import DensityMatrix, _require, commutator, partial_trace, tensor
+from .states import DensityMatrix, _require, commutator, tensor
+from .states import partial_trace  # noqa: F401  bench/spans.py wraps it at this binding
 
 __all__ = [
     "QTriple",
     "PDelta",
-    "S3Coeffs",
     "NestedSpec",
     "GaugeViolation",
     "DegenerateWeight",
@@ -51,6 +51,7 @@ __all__ = [
     "combine3_closed",
     "combine3_closed_stacked",
     "s3_coeffs_from_phases",
+    "independence_residual",
     "q_from_z",
     "z_from_q",
     "pdelta_from_q",
@@ -71,9 +72,9 @@ _CONSTRAINT_TOL = 1e-10
 _NESTED_COS_TOL = 1e-9
 _SWAP_TOL = 1e-9
 
-_S3 = symmetric_group(3)
 _S3_IRREPS = irreps_s3()
-_SWAP_PERM = Perm((2, 1))
+_S3 = _S3_IRREPS.group
+_S2 = symmetric_group(2)  # identity, then the swap
 
 
 class GaugeViolation(ValueError):
@@ -215,43 +216,6 @@ class PDelta:
 
 
 @dataclass(frozen=True)
-class S3Coeffs:
-    """Six coefficients over S3 elements, in the fixed element order.
-
-    Construction does not force unitarity — the 36-term evaluator is
-    defined for any coefficients — but ``validate_unitary`` checks it,
-    and the brute-force channel requires it.
-    """
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        if z.shape != (6,):
-            raise ValueError("need exactly six coefficients")
-        object.__setattr__(self, "z", z)
-
-    def as_coeffvector(self) -> CoeffVector:
-        return CoeffVector(_S3, self.z.copy())
-
-    def validate_unitary(self) -> None:
-        """Raise NonUnitaryBlock unless every irrep block is unitary."""
-        extract_blocks(self.as_coeffvector(), _S3_IRREPS)
-
-    def independence_residual(self) -> float:
-        """Max |Re(z_i conj(z_{i+3}))|; zero when first-order weights are state-independent."""
-        z = self.z
-        return float(max(abs(np.real(z[i] * np.conj(z[i + 3]))) for i in range(3)))
-
-    def to_json(self) -> list:
-        return pairs(self.z)
-
-    @classmethod
-    def from_json(cls, data) -> "S3Coeffs":
-        return cls(complexes(data, (6,), "z"))
-
-
-@dataclass(frozen=True)
 class NestedSpec:
     """A two-level binary expression: outer state, weights, and sign bits.
 
@@ -280,14 +244,18 @@ class NestedSpec:
 # binary combination
 
 
-def partial_swap_unitary(lam: float, d: int, sign: int = +1) -> np.ndarray:
-    """sqrt(lam) I + sign * i sqrt(1-lam) SWAP on two qudits."""
+def _swap_coeffs(lam: float, sign: int) -> np.ndarray:
+    """The partial swap as coefficients over S2: (sqrt(lam), sign * i sqrt(1-lam))."""
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    S = tensor_rep(_SWAP_PERM, d)
-    return np.sqrt(lam) * np.eye(d * d) + sign * 1j * np.sqrt(1 - lam) * S
+    return np.array([np.sqrt(lam), sign * 1j * np.sqrt(1 - lam)])
+
+
+def partial_swap_unitary(lam: float, d: int, sign: int = +1) -> np.ndarray:
+    """sqrt(lam) I + sign * i sqrt(1-lam) SWAP on two qudits."""
+    return sum(zg * tensor_rep(g, d) for zg, g in zip(_swap_coeffs(lam, sign), _S2.perms))
 
 
 def combine2(rho1: DensityMatrix, rho2: DensityMatrix, lam: float, sign: int = +1) -> DensityMatrix:
@@ -312,12 +280,8 @@ def combine2_stacked(r1: np.ndarray, r2: np.ndarray, lam, sign) -> np.ndarray:
 
 def combine2_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, lam: float,
                         sign: int = +1) -> DensityMatrix:
-    """Same channel evaluated the long way: conjugate by the partial swap, trace out."""
-    _mats(rho1, rho2)
-    d = rho1.dim
-    U = partial_swap_unitary(lam, d, sign)
-    big = U @ tensor([rho1, rho2]).mat @ U.conj().T
-    return DensityMatrix(partial_trace(big, {1}, d, 2))
+    """Same channel evaluated the long way: permute the factors by the partial swap, keep factor 1."""
+    return _permutation_channel([rho1, rho2], _swap_coeffs(lam, sign), _S2)
 
 
 def partial_swap_params(z1: complex, z2: complex) -> tuple[float, float, int]:
@@ -349,33 +313,49 @@ def _mats(*rhos: DensityMatrix) -> list[np.ndarray]:
     return [r.mat for r in rhos]
 
 
-def combine3_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
-                        z: S3Coeffs) -> DensityMatrix:
-    """Permute tensor factors of rho1 (x) rho2 (x) rho3 by U = sum_i z_i Q_i, keep factor 1."""
-    _mats(rho1, rho2, rho3)
-    d = rho1.dim
-    if d > 8:
-        raise ValueError("brute force capped at local dimension 8")
-    z.validate_unitary()
-    X = tensor([rho1, rho2, rho3]).mat.reshape((d,) * 6)
+def _permutation_channel(rhos: list[DensityMatrix], coeffs: np.ndarray,
+                         group: FiniteGroup) -> DensityMatrix:
+    """Tr_{2..n} U (rho_1 (x) ... (x) rho_n) U^dag for U = sum_g coeffs_g Q_g over group = S_n."""
+    _mats(*rhos)
+    n, d = len(rhos), rhos[0].dim
+    X = tensor(rhos).mat.reshape((d,) * 2 * n)
     # term (g, h) of U X U^dag is X with its row axes permuted by g and its column axes
-    # by h; tracing out factors 2 and 3 reads only the diagonal of that view
-    terms = list(zip(z.z, (_factor_axes(p) for p in _S3.perms)))
+    # by h; tracing out factors 2..n reads only the diagonal of that view
+    rows = "abcdefgh"[:n]
+    trace = f"{rows}z{rows[1:]}->az"  # "abczbc->az" at n = 3
+    terms = list(zip(coeffs, (_factor_axes(p) for p in group.perms)))
     return DensityMatrix(sum(
-        zg * np.conj(zh) * np.einsum("abcdbc->ad", X.transpose(g + tuple(3 + k for k in h)))
+        zg * np.conj(zh) * np.einsum(trace, X.transpose(g + tuple(n + k for k in h)))
         for zg, g in terms for zh, h in terms))
 
 
+def _s3_coeffs(z: CoeffVector) -> np.ndarray:
+    """The six coefficients of z; ValueError unless z is a vector over S3."""
+    if z.group is not _S3 and not np.array_equal(z.group.cayley, _S3.cayley):
+        raise ValueError("need a coefficient vector over S3")
+    return z.coeffs
+
+
+def combine3_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
+                        z: CoeffVector) -> DensityMatrix:
+    """Permute tensor factors of rho1 (x) rho2 (x) rho3 by U = sum_i z_i Q_i, keep factor 1."""
+    coeffs = _s3_coeffs(z)
+    if rho1.dim > 8:
+        raise ValueError("brute force capped at local dimension 8")
+    extract_blocks(z, _S3_IRREPS)
+    return _permutation_channel([rho1, rho2, rho3], coeffs, _S3)
+
+
 def combine3_magic(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix,
-                   z: S3Coeffs) -> DensityMatrix:
+                   z: CoeffVector) -> DensityMatrix:
     """The 36-term expansion of the ternary channel.
 
     Works for arbitrary coefficients; the overlap-weighted first-order
     terms survive unless Re(z_i conj(z_{i+3})) = 0, which is exactly the
     state-independence condition on the weights.
     """
+    z1, z2, z3, z4, z5, z6 = _s3_coeffs(z)
     r1, r2, r3 = _mats(rho1, rho2, rho3)
-    z1, z2, z3, z4, z5, z6 = z.z
     t12 = np.trace(r1 @ r2)
     t23 = np.trace(r2 @ r3)
     t31 = np.trace(r3 @ r1)
@@ -438,7 +418,7 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
 # parametrization conversions
 
 
-def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> S3Coeffs:
+def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> CoeffVector:
     """Coefficients synthesized from block phases and the 2-dim block row (a, c).
 
     The blocks are (e^{i phi1}, e^{i phi2}, [[a, c], [-conj(c), conj(a)]]),
@@ -449,7 +429,7 @@ def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> S
     _require(abs(abs(a) ** 2 + abs(c) ** 2 - 1), _CONSTRAINT_TOL, "|a|^2 + |c|^2 must equal 1")
     if not np.isfinite([phi1, phi2]).all():
         raise ValueError("block phases must be finite")
-    return S3Coeffs(_s3_z(*(np.array([x]) for x in (phi1, phi2, a, c)))[0])
+    return CoeffVector(_S3, _s3_z(*(np.array([x]) for x in (phi1, phi2, a, c)))[0])
 
 
 def _s3_z(phi1: np.ndarray, phi2: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -466,24 +446,31 @@ def _s3_z(phi1: np.ndarray, phi2: np.ndarray, a: np.ndarray, c: np.ndarray) -> n
     ], axis=-1)
 
 
-def q_from_z(z: S3Coeffs) -> QTriple:
-    """Pair up coefficients: q_k = z_k + z_{k+3}.
+def q_from_z(z: CoeffVector) -> QTriple:
+    """Pair up coefficients over S3: q_k = z_k + z_{k+3}.
 
     Requires the split gauge (z1..z3 real, z4..z6 imaginary); otherwise
     the pairing loses information and GaugeViolation is raised.  The
     result is rotated into the sum-one gauge by the QTriple constructor.
     """
-    worst = np.abs(np.concatenate([z.z[:3].imag, z.z[3:].real])).max()
+    z = _s3_coeffs(z)
+    worst = np.abs(np.concatenate([z[:3].imag, z[3:].real])).max()
     _require(worst, _CONSTRAINT_TOL, lambda v: GaugeViolation(
         f"coefficients not in the real/imaginary gauge (residual {v:.3e})"))
-    q = z.z[:3] + z.z[3:]
+    q = z[:3] + z[3:]
     return QTriple(*q)
 
 
-def z_from_q(q: QTriple) -> S3Coeffs:
-    """Split a q-triple back into coefficients (Re q_k, then i Im q_k)."""
+def z_from_q(q: QTriple) -> CoeffVector:
+    """Split a q-triple back into coefficients over S3 (Re q_k, then i Im q_k)."""
     qa = q.as_array()
-    return S3Coeffs(np.concatenate([qa.real.astype(complex), 1j * qa.imag]))
+    return CoeffVector(_S3, np.concatenate([qa.real.astype(complex), 1j * qa.imag]))
+
+
+def independence_residual(z: CoeffVector) -> float:
+    """Max |Re(z_i conj(z_{i+3}))| over S3; zero when first-order weights are state-independent."""
+    z = _s3_coeffs(z)
+    return float(max(abs(np.real(z[i] * np.conj(z[i + 3]))) for i in range(3)))
 
 
 def wrap_angle(x):

@@ -65,7 +65,8 @@ class DensityMatrix:
     @classmethod
     def pure(cls, psi) -> "DensityMatrix":
         v = np.asarray(psi, dtype=complex)
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails
+        with np.errstate(invalid="ignore", over="ignore"):  # zero, NaN and inf end as NaN
+            v = v / np.abs(v).max(initial=0.0)  # so the norm of a huge or tiny vector is finite
             norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:  # NaN fails
             raise ValueError("state vector must be finite and nonzero")

@@ -118,7 +118,7 @@ def test_04_synthesis_matches_direct_formulas():
     worst = 0.0
     for _ in range(1000):
         phi1, phi2, a, c = random_s3_phases(rng, balanced=False)
-        z = s3_coeffs_from_phases(phi1, phi2, a, c).z
+        z = s3_coeffs_from_phases(phi1, phi2, a, c).coeffs
         e1, e2 = np.exp(1j * phi1), np.exp(1j * phi2)
         apc, amc = a + np.sqrt(3) * c, a - np.sqrt(3) * c
         direct = np.array([
@@ -143,14 +143,14 @@ def test_05_opposite_phases_make_pairs_independent():
     worst_balanced = 0.0
     for _ in range(1000):
         phi1, phi2, a, c = random_s3_phases(rng, balanced=True)
-        z = s3_coeffs_from_phases(phi1, phi2, a, c).z
+        z = s3_coeffs_from_phases(phi1, phi2, a, c).coeffs
         worst_balanced = max(worst_balanced, max(residuals(z)))
     assert worst_balanced < 1e-12
 
     hits = 0
     for _ in range(1000):
         phi1, phi2, a, c = random_s3_phases(rng, balanced=False)
-        z = s3_coeffs_from_phases(phi1, phi2, a, c).z
+        z = s3_coeffs_from_phases(phi1, phi2, a, c).coeffs
         hits += max(residuals(z)) > 1e-3
     assert hits >= 990
     print(f"pair independence: balanced max {worst_balanced:.2e}, "

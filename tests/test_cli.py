@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 import qmix
 import qmix.cli as cli
+from qmix._serial import pairs
 from qmix.cli import main
 from qmix.combine import combine2, combine3_closed, random_qtriple, s3_coeffs_from_phases
 from qmix.linkage import write_orbit_csv
@@ -106,7 +107,7 @@ class TestSynth:
         assert rc == 0
         z = [complex(re, im) for re, im in report_of(doc)["z"]]
         expect = s3_coeffs_from_phases(0.4, -0.7, a, c)
-        assert_allclose(z, expect.z, atol=1e-12)
+        assert_allclose(z, expect.coeffs, atol=1e-12)
 
     def test_cyclic_phases(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"group": "z2", "phases": [0.0, np.pi]})
@@ -177,6 +178,26 @@ class TestCombine:
         assert_allclose(got, combine2(r1, r2, 0.5).mat, atol=1e-12)
         assert rep["mode"] == "binary"
         assert abs(rep["diagnostics"]["trace"] - 1) < 1e-12
+
+    def test_binary_verify_cross_checks_the_oracle(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        r1, r2 = random_density(3, seed=rng), random_density(3, seed=rng)
+        states = states_file(tmp_path, "s.json", [r1.mat, r2.mat])
+        params = write_json(tmp_path, "p.json", {"lambda": 0.3, "sign": -1})
+        rc, doc = run(capsys, "combine", "--states", states, "--params", params, "--verify")
+        assert rc == 0
+        assert report_of(doc)["verify"]["max_mode_diff"] < 1e-10
+        rc, doc = run(capsys, "combine", "--states", states, "--params", params)
+        assert rc == 0 and "verify" not in report_of(doc)
+
+    def test_binary_verify_fails_on_a_broken_oracle(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "combine2_bruteforce", lambda r1, r2, lam, sign: r2)
+        rng = np.random.default_rng(9)
+        states = states_file(tmp_path, "s.json", [random_density(2, seed=rng).mat for _ in "ab"])
+        params = write_json(tmp_path, "p.json", {"lambda": 0.3, "sign": -1})
+        rc, doc = run(capsys, "combine", "--states", states, "--params", params, "--verify")
+        assert rc == 4
+        assert report_of(doc)["verify"]["max_mode_diff"] > 1e-3  # the report is still emitted
 
     def test_ternary_verify_modes_agree(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -263,7 +284,7 @@ class TestCombine:
         rng = np.random.default_rng(4)
         rhos = [random_density(2, seed=rng) for _ in range(3)]
         states = states_file(tmp_path, "s.json", [r.mat for r in rhos])
-        params = write_json(tmp_path, "p.json", {"z": z.to_json()})
+        params = write_json(tmp_path, "p.json", {"z": pairs(z.coeffs)})
         rc, _ = run(capsys, "combine", "--states", states, "--params", params,
                     "--mode", "closed")
         assert rc == 3

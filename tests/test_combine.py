@@ -11,7 +11,6 @@ from qmix.combine import (
     NotNested,
     PDelta,
     QTriple,
-    S3Coeffs,
     combine2,
     combine2_bruteforce,
     combine2_stacked,
@@ -21,6 +20,7 @@ from qmix.combine import (
     combine3_magic,
     covariance_check,
     delta_from_nested,
+    independence_residual,
     nested_expand,
     nested_from_delta,
     nested_params_for_weights,
@@ -39,7 +39,7 @@ from qmix.combine import (
 from qmix.irreps import (BlockUnitaries, Irrep, IrrepSet, NonUnitaryBlock, NotBlockDiagonal,
                          block_decompose, extract_blocks, haar_unitary, irreps_cyclic, irreps_s3,
                          random_block_unitaries, synthesize_coeffs, tensor_rep)
-from qmix.groups import Perm
+from qmix.groups import CoeffVector, Perm, cyclic_group
 from qmix.states import (
     DensityMatrix,
     commutator,
@@ -54,6 +54,7 @@ from qmix.states import (
 from conftest import random_s3_phases
 
 IR3 = irreps_s3()
+S3 = IR3.group
 
 
 def rho_triple(seed, d=2):
@@ -84,6 +85,13 @@ class TestPartialSwap:
     def test_sign_checked(self):
         with pytest.raises(ValueError):
             partial_swap_unitary(0.5, 2, sign=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_identity_plus_swap(self, d):
+        S = tensor_rep(Perm((2, 1)), d)
+        for lam, sign in ((0.3, +1), (0.3, -1), (0.0, -1), (1.0, +1), (0.81, -1)):
+            expect = np.sqrt(lam) * np.eye(d * d) + sign * 1j * np.sqrt(1 - lam) * S
+            assert partial_swap_unitary(lam, d, sign).tobytes() == expect.tobytes()
 
 
 class TestCombine2:
@@ -118,6 +126,17 @@ class TestCombine2:
             a = combine2(r1, r2, lam, sign).mat
             b = combine2_bruteforce(r1, r2, lam, sign).mat
             assert np.abs(a - b).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_brute_matches_dense_conjugation(self, d):
+        # the definition written out: conjugate by the partial swap, trace out factor 2
+        rng = np.random.default_rng(90 + d)
+        for _ in range(5):
+            r1, r2 = random_density(d, seed=rng), random_density(d, seed=rng)
+            lam, sign = rng.uniform(), int(rng.choice([1, -1]))
+            U = partial_swap_unitary(lam, d, sign)
+            dense = partial_trace(U @ tensor([r1, r2]).mat @ U.conj().T, {1}, d, 2)
+            assert np.abs(dense - combine2_bruteforce(r1, r2, lam, sign).mat).max() < 1e-12
 
     def test_sign_swap_relation(self):
         # combining (1, 2) with +sqrt equals combining (2, 1) with -sqrt
@@ -198,23 +217,23 @@ def direct_phase_formula(phi1, phi2, a, c):
 class TestPhaseFormulas:
     def test_identity_case(self):
         z = s3_coeffs_from_phases(0.0, 0.0, 1.0, 0.0)
-        assert_allclose(z.z, [1, 0, 0, 0, 0, 0], atol=1e-14)
+        assert_allclose(z.coeffs, [1, 0, 0, 0, 0, 0], atol=1e-14)
 
     def test_against_longhand(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             phi1, phi2, a, c = random_s3_phases(rng, balanced=False)
             z = s3_coeffs_from_phases(phi1, phi2, a, c)
-            assert_allclose(z.z, direct_phase_formula(phi1, phi2, a, c), atol=1e-13)
+            assert_allclose(z.coeffs, direct_phase_formula(phi1, phi2, a, c), atol=1e-13)
 
     def test_balanced_simplification(self):
         # phi1 = -phi2 = phi, a = 1, c = 0: z1 = (cos phi + 2)/3, z4 = i sin(phi)/3
         phi = 0.9
         z = s3_coeffs_from_phases(phi, -phi, 1.0, 0.0)
-        assert abs(z.z[0] - (np.cos(phi) + 2) / 3) < 1e-14
-        assert abs(z.z[3] - 1j * np.sin(phi) / 3) < 1e-14
-        assert abs(z.z[1] - (np.cos(phi) - 1) / 3) < 1e-14
-        assert abs(z.z[4] - 1j * np.sin(phi) / 3) < 1e-14
+        assert abs(z.coeffs[0] - (np.cos(phi) + 2) / 3) < 1e-14
+        assert abs(z.coeffs[3] - 1j * np.sin(phi) / 3) < 1e-14
+        assert abs(z.coeffs[1] - (np.cos(phi) - 1) / 3) < 1e-14
+        assert abs(z.coeffs[4] - 1j * np.sin(phi) / 3) < 1e-14
 
     def test_norm_precondition(self):
         with pytest.raises(ValueError):
@@ -225,7 +244,7 @@ class TestPhaseFormulas:
         for _ in range(20):
             phi1, phi2, a, c = random_s3_phases(rng, balanced=False)
             z = s3_coeffs_from_phases(phi1, phi2, a, c)
-            blocks = extract_blocks(z.as_coeffvector(), IR3)
+            blocks = extract_blocks(z, IR3)
             assert abs(blocks.blocks[0][0, 0] - np.exp(1j * phi1)) < 1e-12
             assert abs(blocks.blocks[1][0, 0] - np.exp(1j * phi2)) < 1e-12
             assert_allclose(blocks.blocks[2],
@@ -235,9 +254,9 @@ class TestPhaseFormulas:
         rng = np.random.default_rng(7)
         phi1, phi2, a, c = random_s3_phases(rng, balanced=True)
         z = s3_coeffs_from_phases(phi1, phi2, a, c)
-        assert z.independence_residual() < 1e-12
+        assert independence_residual(z) < 1e-12
         z_generic = s3_coeffs_from_phases(0.7, 0.8, a, c)
-        assert z_generic.independence_residual() > 1e-3
+        assert independence_residual(z_generic) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +290,7 @@ class TestQTriple:
 class TestQZConversions:
     def test_q_unit_vectors(self):
         z = z_from_q(QTriple(1.0, 0.0, 0.0))
-        assert_allclose(z.z, [1, 0, 0, 0, 0, 0], atol=0)
+        assert_allclose(z.coeffs, [1, 0, 0, 0, 0, 0], atol=0)
 
     def test_round_trip(self):
         for seed in range(5):
@@ -286,7 +305,7 @@ class TestQZConversions:
         phi1, phi2, a, c = random_s3_phases(rng, balanced=True)
         z = s3_coeffs_from_phases(phi1, phi2, a, c)
         q = q_from_z(z)
-        raw = z.z[:3] + z.z[3:]
+        raw = z.coeffs[:3] + z.coeffs[3:]
         expect = QTriple(*raw)
         assert_allclose(q.as_array(), expect.as_array(), atol=1e-12)
         assert abs(q.as_array().sum() - 1) < 1e-12
@@ -296,7 +315,7 @@ class TestQZConversions:
         # so the z built from q reproduces itself exactly
         for seed in range(5):
             z = z_from_q(random_qtriple(seed + 70))
-            assert_allclose(z_from_q(q_from_z(z)).z, z.z, atol=1e-12)
+            assert_allclose(z_from_q(q_from_z(z)).coeffs, z.coeffs, atol=1e-12)
 
     def test_gauge_violation(self):
         rng = np.random.default_rng(12)
@@ -307,7 +326,7 @@ class TestQZConversions:
     def test_unitarity_transfers(self):
         for seed in range(5):
             q = random_qtriple(seed + 20)
-            extract_blocks(z_from_q(q).as_coeffvector(), IR3)  # must not raise
+            extract_blocks(z_from_q(q), IR3)  # must not raise
 
 
 class TestPDeltaConversions:
@@ -370,8 +389,8 @@ class TestTernaryEquivalence:
         rng = np.random.default_rng(40 + d)
         for _ in range(5):
             rhos = [random_density(d, seed=rng) for _ in range(3)]
-            z = S3Coeffs(synthesize_coeffs(random_block_unitaries(IR3, rng), IR3).coeffs)
-            U = sum(z.z[g] * tensor_rep(IR3.group.perms[g], d) for g in range(6))
+            z = synthesize_coeffs(random_block_unitaries(IR3, rng), IR3)
+            U = sum(z.coeffs[g] * tensor_rep(IR3.group.perms[g], d) for g in range(6))
             dense = partial_trace(U @ tensor(rhos).mat @ U.conj().T, {1}, d, 3)
             assert np.abs(dense - combine3_bruteforce(*rhos, z).mat).max() < 1e-12
 
@@ -389,7 +408,7 @@ class TestTernaryEquivalence:
 
     def test_indicator_identity(self):
         rhos = rho_triple(17, d=3)
-        z = S3Coeffs(np.array([1, 0, 0, 0, 0, 0], dtype=complex))
+        z = CoeffVector(S3, np.array([1, 0, 0, 0, 0, 0], dtype=complex))
         assert_allclose(combine3_magic(*rhos, z).mat, rhos[0].mat, atol=1e-13)
         assert_allclose(combine3_bruteforce(*rhos, z).mat, rhos[0].mat, atol=1e-13)
 
@@ -397,13 +416,13 @@ class TestTernaryEquivalence:
         # conjugating by Q2 then keeping slot 1 returns the state fed in
         # from slot 2's source position
         rhos = rho_triple(18, d=2)
-        z = S3Coeffs(np.array([0, 1, 0, 0, 0, 0], dtype=complex))
+        z = CoeffVector(S3, np.array([0, 1, 0, 0, 0, 0], dtype=complex))
         out = combine3_bruteforce(*rhos, z)
         assert_allclose(out.mat, rhos[1].mat, atol=1e-13)
 
     def test_brute_requires_unitary(self):
         rhos = rho_triple(19)
-        z = S3Coeffs(np.full(6, 1 / 6, dtype=complex))
+        z = CoeffVector(S3, np.full(6, 1 / 6, dtype=complex))
         with pytest.raises(NonUnitaryBlock, match="not unitary"):
             combine3_bruteforce(*rhos, z)
 
@@ -727,9 +746,9 @@ class TestRealImagParam:
             else:
                 vec = rng.normal(size=6)
             a1, a2, a3, b1, b2, b3 = vec
-            z = S3Coeffs(np.array([a1, a2, a3, 1j * b1, 1j * b2, 1j * b3]))
+            z = CoeffVector(S3, np.array([a1, a2, a3, 1j * b1, 1j * b2, 1j * b3]))
             try:
-                extract_blocks(z.as_coeffvector(), IR3)
+                extract_blocks(z, IR3)
                 unitary = True
             except Exception:
                 unitary = False
@@ -777,7 +796,7 @@ def _pdelta_with_fourth_delta() -> PDelta:
     lambda: QTriple(np.nan, 0, 0),
     lambda: DensityMatrix([[np.nan, 0], [0, 1]]),
     lambda: PDelta((0.2, 0.3, 0.5), (np.nan, 0, 0)),
-    lambda: S3Coeffs([np.nan] * 6).validate_unitary(),
+    lambda: extract_blocks(CoeffVector(S3, [np.nan] * 6), IR3),
     lambda: synthesize_coeffs(BlockUnitaries((np.array([[np.nan]]),)), irreps_cyclic(1)),
     lambda: nested_params_for_weights([0.5, np.nan, 0.5], 1),
     lambda: partial_swap_params(np.nan, 0.5),
@@ -788,7 +807,7 @@ def _pdelta_with_fourth_delta() -> PDelta:
     _s3_irreps_with_nan_element,
     lambda: _closed_rows([[1, 0, 0], [np.nan, 0, 1]]),
     lambda: _closed_rows([[1, 0, 0], [0.5, 0.5, 0]]),
-    lambda: q_from_z(S3Coeffs([np.nan] * 6)),
+    lambda: q_from_z(CoeffVector(S3, [np.nan] * 6)),
     lambda: third_order_reduce(_qtriple_with_nan()),
     lambda: DensityMatrix.pure([0, 0]),
     lambda: DensityMatrix.pure([np.nan, 1]),
@@ -824,16 +843,34 @@ def test_nan_fails_validation(build):
     (lambda: QTriple(1e200, 0, 0), ValueError, r"sum \|q_i\|\^2"),
     (lambda: PDelta((0.2, 0.3, 0.5), (1e308, 1e308, 0)), ValueError, "delta sum"),
     (lambda: DensityMatrix.from_probs([1e308, 1e308]), ValueError, "sum to 1"),
-    (lambda: DensityMatrix.pure([1e200, 1e200]), ValueError, "finite and nonzero"),
     (lambda: synthesize_coeffs(BlockUnitaries((np.array([[1e200]]),)), irreps_cyclic(1)),
      NonUnitaryBlock, "not unitary"),
     (lambda: block_decompose(np.full((6, 6), 1e308), irreps_s3()), NotBlockDiagonal, "off-block"),
-], ids=["from-bloch", "density", "qtriple", "pdelta", "from-probs", "pure", "synthesis",
+], ids=["from-bloch", "density", "qtriple", "pdelta", "from-probs", "synthesis",
         "block-decompose"])
 def test_overflow_fails_with_the_checks_own_error(build, error, match):
     # finite inputs whose residual overflows to inf: the check fails, no numpy overflow warning
     with pytest.raises(error, match=match):
         build()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+def test_pure_scales_before_taking_the_norm(scale):
+    # the squared modulus of either entry over- or underflows; the state is still |+><+|
+    got = DensityMatrix.pure([scale, scale]).mat
+    assert np.abs(got - DensityMatrix.pure([1, 1]).mat).max() <= 1e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda z: combine3_magic(*rho_triple(0), z),
+    lambda z: combine3_bruteforce(*rho_triple(0), z),
+    q_from_z,
+    independence_residual,
+], ids=["magic", "bruteforce", "q-from-z", "independence-residual"])
+def test_coefficients_over_another_group_are_rejected(call):
+    # the identity of Z6 is a unitary group-algebra element, but not one over S3
+    with pytest.raises(ValueError, match="over S3"):
+        call(CoeffVector.indicator(cyclic_group(6), 0))
 
 
 def _qtriple_with_nan() -> QTriple:
@@ -846,8 +883,8 @@ def _qtriple_with_nan() -> QTriple:
 def test_nan_raises_the_checks_own_exception():
     # NaN must fail the gauge and overlap checks themselves, not a later constructor
     with pytest.raises(GaugeViolation):
-        q_from_z(S3Coeffs([np.nan] * 6))
+        q_from_z(CoeffVector(S3, [np.nan] * 6))
     with pytest.raises(GaugeViolation):
-        q_from_z(S3Coeffs([0.5, 0.5, 0, np.nan, 0, 0]))
+        q_from_z(CoeffVector(S3, [0.5, 0.5, 0, np.nan, 0, 0]))
     with pytest.raises(CoefficientSumNonzero):
         third_order_reduce(_qtriple_with_nan())

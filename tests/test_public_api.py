@@ -12,6 +12,7 @@ REMOVED = [
     "random_s3_phases",
     "irreps_to_json",
     "irreps_from_json",
+    "S3Coeffs",
 ]
 
 
