@@ -26,7 +26,7 @@ irreps = irreps_s3()
 
 # pick an arbitrary unitary for each block: two phases and a 2x2
 blocks = random_block_unitaries(irreps, rng)
-for r, B in zip(irreps, blocks.blocks):
+for r, B in zip(irreps, blocks):
     print(f"{r.label:>9}: {r.dim}x{r.dim} block")
 
 # synthesis: one inverse-Fourier sum per group element
@@ -43,7 +43,7 @@ print(f"\nregular combination unitarity residual: {residual:.2e}")
 # check 2: extracting the blocks back reproduces the inputs
 back = extract_blocks(z, irreps)
 err = max(np.abs(np.asarray(a) - np.asarray(b)).max()
-          for a, b in zip(back.blocks, blocks.blocks))
+          for a, b in zip(back, blocks))
 print(f"block round-trip error: {err:.2e}")
 
 # check 3: the same coefficients act unitarily when the permutations
@@ -56,12 +56,9 @@ for d in (2, 3):
 
 # the blocks need not come from a random draw; any unitary data works.
 # here is the coefficient vector that touches only the 2x2 block,
-# leaving both phase blocks at 1:
-from qmix.irreps import BlockUnitaries
-
+# leaving both phase blocks at 1 (blocks go in irrep order):
 W = haar_unitary(2, rng)
-custom = BlockUnitaries((np.eye(1), np.eye(1), W),
-                        tuple(r.label for r in irreps))
+custom = (np.eye(1), np.eye(1), W)
 zc = synthesize_coeffs(custom, irreps)
 print("\ncoefficients that act only through the 2x2 block:")
 print(np.round(zc.coeffs, 4))

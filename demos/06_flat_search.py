@@ -11,10 +11,9 @@ flatness objective restricted to the unitary-producing manifold.
 
 import numpy as np
 
-from qmix import flat_unitary_search, irreps_s3, regular_lincomb
+from qmix import flat_unitary_search, regular_lincomb
 
-irreps = irreps_s3()
-found = flat_unitary_search(irreps, attempts=20, seed=1)
+found = flat_unitary_search(attempts=20, seed=1)
 print(f"20 random starts produced {len(found)} flat solutions\n")
 
 target = 1 / np.sqrt(6)
@@ -35,6 +34,6 @@ for i, z in enumerate(found[:4]):
 
 # distinct solutions differ by more than numerical noise; dedupe happens
 # inside the search, so repeated runs with one seed are stable
-again = flat_unitary_search(irreps, attempts=20, seed=1)
+again = flat_unitary_search(attempts=20, seed=1)
 same = all(np.allclose(a.coeffs, b.coeffs) for a, b in zip(found, again))
 print("rerun with the same seed reproduces the list:", same)

@@ -33,7 +33,6 @@ from .combine import (
     GaugeViolation,
     PDelta,
     QTriple,
-    _S3,
     _balanced_q_rows,
     combine2,
     combine2_bruteforce,
@@ -45,18 +44,18 @@ from .combine import (
     q_from_pdelta,
     q_from_z,
     random_qtriple,  # noqa: F401  bench/spans.py wraps it at this binding
-    s3_coeffs_from_phases,
     z_from_q,
 )
 from .groups import CoeffVector, regular_lincomb
 from .irreps import (
     UNITARY_TOL,
-    BlockUnitaries,
+    _S3,
     _unitarity_residual,
     extract_blocks,
     flat_unitary_search,
     irreps_cyclic,
     irreps_s3,
+    s3_coeffs_from_phases,
     s3_phase_blocks,
     synthesize_coeffs,
 )
@@ -162,8 +161,7 @@ def _irreps_for(group):
     raise CliError(2, f"unknown group {group!r} (expected 's3' or 'z<n>')")
 
 
-def _blocks_from_config(cfg: dict, irreps) -> BlockUnitaries:
-    labels = tuple(r.label for r in irreps)
+def _blocks_from_config(cfg: dict, irreps) -> tuple[np.ndarray, ...]:
     if "blocks" in cfg:
         table = cfg["blocks"]
         if not isinstance(table, dict):
@@ -173,13 +171,13 @@ def _blocks_from_config(cfg: dict, irreps) -> BlockUnitaries:
             if r.label not in table:
                 raise CliError(2, f"config is missing a block for irrep {r.label!r}")
             mats.append(complexes(table[r.label], (r.dim, r.dim), f"block {r.label!r}"))
-        return BlockUnitaries(tuple(mats), labels)
+        return tuple(mats)
     if "phases" in cfg:
         ph = cfg["phases"]
         if cfg["group"] == "s3":
             return s3_phase_blocks(*_s3_phases(ph))
         t = reals(ph, (len(irreps),), "'phases'")
-        return BlockUnitaries(tuple(np.exp(1j * t).reshape(-1, 1, 1)), labels)
+        return tuple(np.exp(1j * t).reshape(-1, 1, 1))
     raise CliError(2, "config needs either 'blocks' or 'phases'")
 
 
@@ -192,8 +190,7 @@ def _cmd_synth(args) -> int:
     blocks = _blocks_from_config(cfg, irreps)
     z = synthesize_coeffs(blocks, irreps)
     back = extract_blocks(z, irreps)
-    roundtrip = max(float(np.abs(np.asarray(B) - np.asarray(U)).max())
-                    for B, U in zip(back.blocks, blocks.blocks))
+    roundtrip = max(float(np.abs(B - U).max()) for B, U in zip(back, blocks))
     residual = _unitarity_residual(regular_lincomb(z))
     report = {
         "group": cfg["group"],
@@ -478,14 +475,10 @@ def _cmd_flat_search(args) -> int:
         raise CliError(2, "attempts must be positive")
     if args.seed < 0:
         raise CliError(2, "seed must be non-negative")
-    found = flat_unitary_search(irreps_s3(), args.attempts, args.seed)
+    found = flat_unitary_search(args.attempts, args.seed)
     target = 1.0 / np.sqrt(6.0)
-    sols = []
-    for z in found:
-        sols.append({
-            "z": pairs(z.coeffs),
-            "flatness": float(np.abs(np.abs(z.coeffs) - target).max()),
-        })
+    sols = [{"z": pairs(z.coeffs), "flatness": float(np.abs(np.abs(z.coeffs) - target).max())}
+            for z in found]
     report = {
         "attempts": args.attempts,
         "seed": args.seed,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serial import complexes, pairs, reals
-from .groups import CoeffVector, FiniteGroup, symmetric_group
-from .irreps import _factor_axes, extract_blocks, irreps_s3, tensor_rep
+from .groups import CoeffVector, FiniteGroup, _is_over, symmetric_group
+from .irreps import _S3, _S3_IRREPS, _factor_axes, _s3_z_unit, extract_blocks, tensor_rep
 from .states import DensityMatrix, _require, commutator, tensor
 from .states import partial_trace  # noqa: F401  bench/spans.py wraps it at this binding
 
@@ -50,7 +50,6 @@ __all__ = [
     "combine3_magic",
     "combine3_closed",
     "combine3_closed_stacked",
-    "s3_coeffs_from_phases",
     "independence_residual",
     "q_from_z",
     "z_from_q",
@@ -72,8 +71,6 @@ _CONSTRAINT_TOL = 1e-10
 _NESTED_COS_TOL = 1e-9
 _SWAP_TOL = 1e-9
 
-_S3_IRREPS = irreps_s3()
-_S3 = _S3_IRREPS.group
 _S2 = symmetric_group(2)  # identity, then the swap
 
 
@@ -331,7 +328,7 @@ def _permutation_channel(rhos: list[DensityMatrix], coeffs: np.ndarray,
 
 def _s3_coeffs(z: CoeffVector) -> np.ndarray:
     """The six coefficients of z; ValueError unless z is a vector over S3."""
-    if z.group is not _S3 and not np.array_equal(z.group.cayley, _S3.cayley):
+    if not _is_over(z, _S3):
         raise ValueError("need a coefficient vector over S3")
     return z.coeffs
 
@@ -418,34 +415,6 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
 # parametrization conversions
 
 
-def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> CoeffVector:
-    """Coefficients synthesized from block phases and the 2-dim block row (a, c).
-
-    The blocks are (e^{i phi1}, e^{i phi2}, [[a, c], [-conj(c), conj(a)]]),
-    so |a|^2 + |c|^2 must be 1 and the result is always unitary.  When
-    phi1 = -phi2 the coefficients split into real (z1..z3) and imaginary
-    (z4..z6) parts and the first-order weights become state-independent.
-    """
-    _require(abs(abs(a) ** 2 + abs(c) ** 2 - 1), _CONSTRAINT_TOL, "|a|^2 + |c|^2 must equal 1")
-    if not np.isfinite([phi1, phi2]).all():
-        raise ValueError("block phases must be finite")
-    return CoeffVector(_S3, _s3_z(*(np.array([x]) for x in (phi1, phi2, a, c)))[0])
-
-
-def _s3_z(phi1: np.ndarray, phi2: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(..., 6) coefficients from elementwise block phases and block rows (a, c), unchecked."""
-    e1, e2 = np.exp(1j * phi1), np.exp(1j * phi2)
-    r3 = np.sqrt(3)
-    return np.stack([
-        (e1 + e2 + 4 * np.real(a)) / 6,
-        (e1 + e2 - 2 * np.real(a + r3 * c)) / 6,
-        (e1 + e2 - 2 * np.real(a - r3 * c)) / 6,
-        (e1 - e2 + 4j * np.imag(a)) / 6,
-        (e1 - e2 - 2j * np.imag(a + r3 * c)) / 6,
-        (e1 - e2 - 2j * np.imag(a - r3 * c)) / 6,
-    ], axis=-1)
-
-
 def q_from_z(z: CoeffVector) -> QTriple:
     """Pair up coefficients over S3: q_k = z_k + z_{k+3}.
 
@@ -478,6 +447,12 @@ def wrap_angle(x):
     return (x + np.pi) % (2 * np.pi) - np.pi
 
 
+def _phase_deltas(q: np.ndarray) -> np.ndarray:
+    """Phase differences wrap(arg q_k - arg q_{k+1}), cyclic over the last axis of (..., 3) q."""
+    ph = np.angle(q)
+    return wrap_angle(ph - ph[..., [1, 2, 0]])
+
+
 def cos_vanishes(deltas):
     """Elementwise |cos(delta)| below the nestedness tolerance (False for NaN).
 
@@ -497,8 +472,7 @@ def pdelta_from_q(q: QTriple) -> PDelta:
     p = np.abs(qa) ** 2
     if p.min() < 1e-15:
         raise DegenerateWeight(p)
-    ph = np.angle(qa)
-    return PDelta(tuple(p), tuple(float(d) for d in wrap_angle(ph - ph[[1, 2, 0]])))
+    return PDelta(tuple(p), tuple(float(d) for d in _phase_deltas(qa)))
 
 
 def q_from_pdelta(pd: PDelta) -> QTriple:
@@ -655,10 +629,8 @@ def _balanced_q_rows(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(N, 3) q-rows from phases phi1 = -phi2 = phi (N,) and normals v (N, 4).
 
     (a, c) is v normalized, which puts it Haar-uniformly on the unit sphere
-    of C^2; each row is q_from_z(s3_coeffs_from_phases(phi, -phi, a, c)),
+    of C^2; each row is q_from_z(irreps.s3_coeffs_from_phases(phi, -phi, a, c)),
     value for value.
     """
-    # each norm as a dot product, as np.linalg.norm takes it for a single vector
-    ac = (v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]).view(complex)
-    z = _s3_z(phi, -phi, ac[:, 0], ac[:, 1])
+    z = _s3_z_unit(phi, -phi, v)
     return _sum_one_gauge(z[:, :3] + z[:, 3:])

@@ -219,6 +219,11 @@ class CoeffVector:
         return cls(group, z)
 
 
+def _is_over(z: CoeffVector, group: FiniteGroup) -> bool:
+    """Whether z is a vector over ``group``: that group, or one with the same Cayley table."""
+    return z.group is group or np.array_equal(z.group.cayley, group.cayley)
+
+
 def regular_lincomb(z: CoeffVector) -> np.ndarray:
     """The matrix sum_g z_g L_g in the left regular representation."""
     G = z.group

@@ -3,10 +3,10 @@ unitarity criterion for group-algebra elements.
 
 A linear combination sum_g z_g L_g over the left regular representation
 is unitary exactly when every per-irrep block B_tau = sum_g z_g tau(g)
-is unitary.  ``synthesize_coeffs`` builds coefficients from a chosen
-unitary per irrep, ``extract_blocks`` recovers the blocks and doubles as
-the unitarity test, and ``fourier_matrix`` gives the basis change that
-block-diagonalizes the regular representation.
+is unitary.  ``synthesize_coeffs`` builds coefficients from a tuple of
+unitary blocks in irrep order, ``extract_blocks`` recovers that tuple and
+doubles as the unitarity test, and ``fourier_matrix`` gives the basis
+change that block-diagonalizes the regular representation.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .groups import CoeffVector, FiniteGroup, Perm, cyclic_group, symmetric_group
+from .groups import CoeffVector, FiniteGroup, Perm, _is_over, cyclic_group, symmetric_group
 from .states import _require
 
 __all__ = [
     "Irrep",
     "IrrepSet",
-    "BlockUnitaries",
     "NotBlockDiagonal",
     "NonUnitaryBlock",
     "irreps_s3",
@@ -37,6 +36,7 @@ __all__ = [
     "haar_unitary",
     "random_block_unitaries",
     "s3_phase_blocks",
+    "s3_coeffs_from_phases",
 ]
 
 UNITARY_TOL = 1e-10
@@ -119,18 +119,6 @@ class IrrepSet:
         return len(self.irreps)
 
 
-@dataclass(frozen=True)
-class BlockUnitaries:
-    """One unitary per irrep, in irrep order."""
-
-    blocks: tuple[np.ndarray, ...]
-    labels: tuple[str, ...] = ()
-
-    @classmethod
-    def from_element(cls, irreps: IrrepSet, g: int) -> "BlockUnitaries":
-        return cls(tuple(r(g).copy() for r in irreps), tuple(r.label for r in irreps))
-
-
 def irreps_s3() -> IrrepSet:
     """The three irreps of S3: trivial, sign, and the real 2-dim standard one.
 
@@ -155,6 +143,10 @@ def irreps_s3() -> IrrepSet:
         Irrep("sign", 1, sign),
         Irrep("standard", 2, two),
     ))
+
+
+_S3_IRREPS = irreps_s3()
+_S3 = _S3_IRREPS.group
 
 
 def s3_two_dim_alt() -> Irrep:
@@ -199,7 +191,6 @@ def block_decompose(M: np.ndarray, irreps: IrrepSet) -> list[np.ndarray]:
     a direct sum of B_tau (x) I_{d_tau}.  Raises NotBlockDiagonal if the
     residual off that structure exceeds 1e-10.
     """
-    G = irreps.group
     F = fourier_matrix(irreps)
     with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail the check
         hat = F @ np.asarray(M, dtype=complex) @ F.conj().T
@@ -217,17 +208,17 @@ def block_decompose(M: np.ndarray, irreps: IrrepSet) -> list[np.ndarray]:
     return blocks
 
 
-def synthesize_coeffs(blocks: BlockUnitaries, irreps: IrrepSet) -> CoeffVector:
-    """Coefficients z_g = sum_tau (d_tau/|G|) Tr(tau(g)^dag U_tau).
+def synthesize_coeffs(blocks: tuple[np.ndarray, ...], irreps: IrrepSet) -> CoeffVector:
+    """Coefficients z_g = sum_tau (d_tau/|G|) Tr(tau(g)^dag U_tau), one block U_tau per irrep.
 
     The resulting sum_g z_g L_g is unitary for any choice of unitary
     blocks; non-unitary input raises NonUnitaryBlock.
     """
     G = irreps.group
-    if len(blocks.blocks) != len(irreps.irreps):
+    if len(blocks) != len(irreps.irreps):
         raise ValueError("need exactly one block per irrep")
     z = np.zeros(G.order, dtype=complex)
-    for r, U in zip(irreps, blocks.blocks):
+    for r, U in zip(irreps, blocks):
         U = np.asarray(U, dtype=complex)
         if U.shape != (r.dim, r.dim):
             raise ValueError(f"block for {r.label!r} has wrong shape")
@@ -236,21 +227,19 @@ def synthesize_coeffs(blocks: BlockUnitaries, irreps: IrrepSet) -> CoeffVector:
     return CoeffVector(G, z)
 
 
-def extract_blocks(z: CoeffVector, irreps: IrrepSet) -> BlockUnitaries:
-    """Per-irrep blocks B_tau = sum_g z_g tau(g); the unitarity test.
+def extract_blocks(z: CoeffVector, irreps: IrrepSet) -> tuple[np.ndarray, ...]:
+    """Per-irrep blocks B_tau = sum_g z_g tau(g), in irrep order; the unitarity test.
 
     Succeeds iff every block is unitary within 1e-10 — exactly the
     criterion for sum_g z_g L_g to be unitary.  Raises NonUnitaryBlock
     naming the first failing irrep.
     """
-    if z.group is not irreps.group and not np.array_equal(z.group.cayley, irreps.group.cayley):
+    if not _is_over(z, irreps.group):
         raise ValueError("coefficient vector and irreps belong to different groups")
-    out = []
-    for r in irreps:
-        B = np.einsum("g,gjk->jk", z.coeffs, r.matrices)
+    blocks = tuple(np.einsum("g,gjk->jk", z.coeffs, r.matrices) for r in irreps)
+    for r, B in zip(irreps, blocks):
         _require(_unitarity_residual(B), UNITARY_TOL, lambda v: NonUnitaryBlock(r.label, v))
-        out.append(B)
-    return BlockUnitaries(tuple(out), tuple(r.label for r in irreps))
+    return blocks
 
 
 def _factor_axes(p: Perm) -> tuple[int, ...]:
@@ -283,31 +272,59 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 
 
-def random_block_unitaries(irreps: IrrepSet, rng: np.random.Generator) -> BlockUnitaries:
-    """Independent Haar-random unitary per irrep."""
-    return BlockUnitaries(tuple(haar_unitary(r.dim, rng) for r in irreps),
-                          tuple(r.label for r in irreps))
+def random_block_unitaries(irreps: IrrepSet, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Independent Haar-random unitary per irrep, in irrep order."""
+    return tuple(haar_unitary(r.dim, rng) for r in irreps)
 
 
-def s3_phase_blocks(phi1: float, phi2: float, a: complex, c: complex) -> BlockUnitaries:
+def s3_phase_blocks(phi1: float, phi2: float, a: complex, c: complex) -> tuple[np.ndarray, ...]:
     """S3 blocks (e^{i phi1}, e^{i phi2}, [[a, c], [-conj(c), conj(a)]]) in irreps_s3 order.
 
     Unitary exactly when |a|^2 + |c|^2 = 1.
     """
-    return BlockUnitaries((np.array([[np.exp(1j * phi1)]]),
-                           np.array([[np.exp(1j * phi2)]]),
-                           np.array([[a, c], [-np.conj(c), np.conj(a)]])),
-                          ("trivial", "sign", "standard"))
+    return (np.array([[np.exp(1j * phi1)]]), np.array([[np.exp(1j * phi2)]]),
+            np.array([[a, c], [-np.conj(c), np.conj(a)]]))
 
 
-def _s3_phase_coeffs(x: np.ndarray, irreps: IrrepSet) -> CoeffVector | None:
-    """Coefficients from the 6-real parametrization used by the flat search."""
-    phi1, phi2, ar, ai, cr, ci = x
-    nrm = np.sqrt(ar * ar + ai * ai + cr * cr + ci * ci)
-    if nrm < 1e-12:
-        return None
-    return synthesize_coeffs(s3_phase_blocks(phi1, phi2, (ar + 1j * ai) / nrm,
-                                             (cr + 1j * ci) / nrm), irreps)
+def s3_coeffs_from_phases(phi1: float, phi2: float, a: complex, c: complex) -> CoeffVector:
+    """The coefficients of ``s3_phase_blocks(phi1, phi2, a, c)``, in closed form.
+
+    |a|^2 + |c|^2 must be 1, so the result is always unitary.  When
+    phi1 = -phi2 the coefficients split into real (z1..z3) and imaginary
+    (z4..z6) parts and the first-order weights become state-independent.
+    """
+    _require(abs(abs(a) ** 2 + abs(c) ** 2 - 1), UNITARY_TOL, "|a|^2 + |c|^2 must equal 1")
+    if not np.isfinite([phi1, phi2]).all():
+        raise ValueError("block phases must be finite")
+    return CoeffVector(_S3, _s3_z(*(np.array([x]) for x in (phi1, phi2, a, c)))[0])
+
+
+def _s3_z(phi1: np.ndarray, phi2: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(..., 6) coefficients from elementwise block phases and block rows (a, c), unchecked."""
+    e1, e2 = np.exp(1j * phi1), np.exp(1j * phi2)
+    r3 = np.sqrt(3)
+    return np.stack([
+        (e1 + e2 + 4 * np.real(a)) / 6,
+        (e1 + e2 - 2 * np.real(a + r3 * c)) / 6,
+        (e1 + e2 - 2 * np.real(a - r3 * c)) / 6,
+        (e1 - e2 + 4j * np.imag(a)) / 6,
+        (e1 - e2 - 2j * np.imag(a + r3 * c)) / 6,
+        (e1 - e2 - 2j * np.imag(a - r3 * c)) / 6,
+    ], axis=-1)
+
+
+def _s3_z_unit(phi1: np.ndarray, phi2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_s3_z`` of phases (N,) and rows v = (Re a, Im a, Re c, Im c) (N, 4) scaled to norm 1."""
+    # each norm as a dot product, as np.linalg.norm takes it for a single vector
+    nrm = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    ac = (v / np.where(nrm < 1e-12, np.nan, nrm)).view(complex)  # NaN rows where v is ~0
+    return _s3_z(phi1, phi2, ac[:, 0], ac[:, 1])
+
+
+def _flat_residuals(x: np.ndarray) -> np.ndarray:
+    """|z_g|^2 - 1/6 of (k, 6) rows (phi1, phi2, Re a, Im a, Re c, Im c); 1 where (a, c) is 0."""
+    r = np.abs(_s3_z_unit(x[:, 0], x[:, 1], x[:, 2:])) ** 2 - 1.0 / 6.0
+    return np.where(np.isnan(r), 1.0, r)  # so a Jacobian holds no NaN
 
 
 class _Fit(NamedTuple):
@@ -317,24 +334,25 @@ class _Fit(NamedTuple):
 
 
 def minimize(residuals: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> _Fit:
-    """Levenberg-Marquardt on sum(residuals(x)**2) with a central-difference Jacobian.
+    """Levenberg-Marquardt on sum(r**2) with a central-difference Jacobian.
 
+    ``residuals`` maps (k, n) rows x to (k, m) rows; a Jacobian is one call on x +- h e_j.
     Stops at cost 1e-30, after 100 iterations, or when no damping up to
     1e10 lowers the cost.
     """
     x = np.asarray(x0, dtype=float)
-    r = residuals(x)
+    r = residuals(x[None])[0]
     cost, nfev, nit, damp = r @ r, 1, 0, _LM_DAMP_START
     steps = _LM_FD_STEP * np.eye(x.size)
     while nit < _LM_MAXITER and cost > _LM_COST_TOL:
         nit += 1
-        J = np.stack([residuals(x + e) - residuals(x - e) for e in steps], axis=1)
-        J /= 2 * _LM_FD_STEP
+        r_pm = residuals(np.concatenate([x + steps, x - steps]))
+        J = (r_pm[:x.size] - r_pm[x.size:]).T / (2 * _LM_FD_STEP)
         nfev += 2 * x.size
         A, g = J.T @ J, J.T @ r
         while damp < _LM_DAMP_MAX:
             trial = x - np.linalg.solve(A + damp * np.eye(x.size), g)
-            r_trial = residuals(trial)
+            r_trial = residuals(trial[None])[0]
             nfev += 1
             if r_trial @ r_trial < cost:
                 x, r, cost = trial, r_trial, r_trial @ r_trial
@@ -346,37 +364,24 @@ def minimize(residuals: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> _
     return _Fit(x, nfev, nit)
 
 
-def flat_unitary_search(irreps: IrrepSet, attempts: int, seed: int) -> list[CoeffVector]:
-    """Search for unitary coefficient vectors with |z_i| all equal to 1/sqrt(6).
+def flat_unitary_search(attempts: int, seed: int) -> list[CoeffVector]:
+    """Search for unitary coefficient vectors over S3 with |z_i| all equal to 1/sqrt(6).
 
     Scaled by sqrt(6), such a vector is a row of a complex Hadamard
     matrix.  Random multi-start over the block phases (phi1, phi2) and
     the 2-dim block parameters (a, c), driving the six residuals
-    |z_i|^2 - 1/6 to zero with Levenberg-Marquardt.  Returns the distinct
-    solutions flat within 1e-8; may be empty for small ``attempts``.
+    |z_i|^2 - 1/6 of the closed form to zero with Levenberg-Marquardt.
+    Returns the distinct solutions flat within 1e-8, in the order first
+    found; may be empty for small ``attempts``.
     """
-    if len(irreps.irreps) != 3 or irreps.group.order != 6:
-        raise ValueError("flat search is specific to the S3 irrep set")
     rng = np.random.default_rng(seed)
-    target = 1.0 / np.sqrt(6.0)
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        z = _s3_phase_coeffs(x, irreps)
-        if z is None:
-            return np.ones(6)
-        return np.abs(z.coeffs) ** 2 - 1.0 / 6.0
-
-    found: list[CoeffVector] = []
-    seen: set[tuple] = set()
+    found: dict[tuple, CoeffVector] = {}
     for _ in range(attempts):
         x0 = np.concatenate([rng.uniform(0, 2 * np.pi, 2), rng.normal(size=4)])
-        res = minimize(residuals, x0)
-        z = _s3_phase_coeffs(res.x, irreps)
-        if z is None or not _require(np.abs(np.abs(z.coeffs) - target).max(), _FLAT_TOL):
-            continue
-        extract_blocks(z, irreps)  # unitarity guaranteed by construction; keep honest
-        key = tuple(np.round(np.concatenate([z.coeffs.real, z.coeffs.imag]), 6))
-        if key not in seen:
-            seen.add(key)
-            found.append(z)
-    return found
+        x = minimize(_flat_residuals, x0).x
+        z = _s3_z_unit(x[:1], x[1:2], x[None, 2:])[0]
+        if _require(np.abs(np.abs(z) - 1.0 / np.sqrt(6.0)).max(), _FLAT_TOL):  # NaN fails
+            z = CoeffVector(_S3, z)
+            extract_blocks(z, _S3_IRREPS)  # unitarity guaranteed by construction; keep honest
+            found.setdefault(tuple(np.round(np.concatenate([z.coeffs.real, z.coeffs.imag]), 6)), z)
+    return list(found.values())

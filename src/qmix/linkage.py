@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import QTriple, _closed_rows, _is_probability_triple, cos_vanishes, wrap_angle
+from .combine import (QTriple, _closed_rows, _is_probability_triple, _phase_deltas, cos_vanishes,
+                      wrap_angle)
 from .states import _require
 
 __all__ = [
@@ -144,9 +145,7 @@ def _config_at(r1: float, r2: float, r3: float, theta, branch) -> np.ndarray:
 def config_deltas(q) -> np.ndarray:
     """Phase differences (d12, d23, d31) over the last axis of bars; NaN rows on zero bars."""
     q = np.asarray(q)
-    ph = np.angle(q)
-    deltas = wrap_angle(ph - ph[..., [1, 2, 0]])
-    return np.where((np.abs(q) < _ZERO_RADIUS).any(axis=-1, keepdims=True), np.nan, deltas)
+    return np.where((np.abs(q) < _ZERO_RADIUS).any(-1, keepdims=True), np.nan, _phase_deltas(q))
 
 
 def _degenerate_orbits(r1, r2, r3) -> list[list]:

@@ -66,7 +66,8 @@ class DensityMatrix:
     def pure(cls, psi) -> "DensityMatrix":
         v = np.asarray(psi, dtype=complex)
         with np.errstate(invalid="ignore", over="ignore"):  # zero, NaN and inf end as NaN
-            v = v / np.abs(v).max(initial=0.0)  # so the norm of a huge or tiny vector is finite
+            m = np.abs(v).max(initial=0.0)  # so the norm of a huge or tiny vector is finite;
+            v = v.real / m + 1j * (v.imag / m)  # part by part, as v / subnormal m is inf+nanj
             norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:  # NaN fails
             raise ValueError("state vector must be finite and nonzero")

@@ -22,7 +22,6 @@ from qmix.combine import (
     nested_params_for_weights,
     q_from_pdelta,
     random_qtriple,
-    s3_coeffs_from_phases,
     verify_real_imag_param,
     z_from_q,
 )
@@ -31,6 +30,7 @@ from qmix.irreps import (
     extract_blocks,
     irreps_s3,
     random_block_unitaries,
+    s3_coeffs_from_phases,
     synthesize_coeffs,
     tensor_rep,
 )
@@ -64,7 +64,7 @@ def test_01_regular_synthesis_is_unitary():
         back = extract_blocks(z, IR3)
         worst_roundtrip = max(worst_roundtrip,
                               max(float(np.abs(np.asarray(B) - np.asarray(U)).max())
-                                  for B, U in zip(back.blocks, blocks.blocks)))
+                                  for B, U in zip(back, blocks)))
     elapsed = time.perf_counter() - t0
     assert worst_unitary < 1e-10
     assert worst_roundtrip < 1e-9

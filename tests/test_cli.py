@@ -16,7 +16,8 @@ import qmix
 import qmix.cli as cli
 from qmix._serial import pairs
 from qmix.cli import main
-from qmix.combine import combine2, combine3_closed, random_qtriple, s3_coeffs_from_phases
+from qmix.combine import combine2, combine3_closed, random_qtriple
+from qmix.irreps import s3_coeffs_from_phases
 from qmix.linkage import write_orbit_csv
 from qmix.states import DensityMatrix, EntropyFunctional, bloch_vector, random_density
 

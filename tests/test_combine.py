@@ -30,15 +30,15 @@ from qmix.combine import (
     q_from_pdelta,
     q_from_z,
     random_qtriple,
-    s3_coeffs_from_phases,
     third_order_reduce,
     verify_real_imag_param,
     z_from_q,
     _closed_rows,
 )
-from qmix.irreps import (BlockUnitaries, Irrep, IrrepSet, NonUnitaryBlock, NotBlockDiagonal,
-                         block_decompose, extract_blocks, haar_unitary, irreps_cyclic, irreps_s3,
-                         random_block_unitaries, synthesize_coeffs, tensor_rep)
+from qmix.irreps import (Irrep, IrrepSet, NonUnitaryBlock, NotBlockDiagonal, block_decompose,
+                         extract_blocks, haar_unitary, irreps_cyclic, irreps_s3,
+                         random_block_unitaries, s3_coeffs_from_phases, synthesize_coeffs,
+                         tensor_rep)
 from qmix.groups import CoeffVector, Perm, cyclic_group
 from qmix.states import (
     DensityMatrix,
@@ -245,9 +245,9 @@ class TestPhaseFormulas:
             phi1, phi2, a, c = random_s3_phases(rng, balanced=False)
             z = s3_coeffs_from_phases(phi1, phi2, a, c)
             blocks = extract_blocks(z, IR3)
-            assert abs(blocks.blocks[0][0, 0] - np.exp(1j * phi1)) < 1e-12
-            assert abs(blocks.blocks[1][0, 0] - np.exp(1j * phi2)) < 1e-12
-            assert_allclose(blocks.blocks[2],
+            assert abs(blocks[0][0, 0] - np.exp(1j * phi1)) < 1e-12
+            assert abs(blocks[1][0, 0] - np.exp(1j * phi2)) < 1e-12
+            assert_allclose(blocks[2],
                             [[a, c], [-np.conj(c), np.conj(a)]], atol=1e-12)
 
     def test_independence_residual(self):
@@ -797,7 +797,7 @@ def _pdelta_with_fourth_delta() -> PDelta:
     lambda: DensityMatrix([[np.nan, 0], [0, 1]]),
     lambda: PDelta((0.2, 0.3, 0.5), (np.nan, 0, 0)),
     lambda: extract_blocks(CoeffVector(S3, [np.nan] * 6), IR3),
-    lambda: synthesize_coeffs(BlockUnitaries((np.array([[np.nan]]),)), irreps_cyclic(1)),
+    lambda: synthesize_coeffs((np.array([[np.nan]]),), irreps_cyclic(1)),
     lambda: nested_params_for_weights([0.5, np.nan, 0.5], 1),
     lambda: partial_swap_params(np.nan, 0.5),
     lambda: DensityMatrix.from_probs([np.nan, 0.5]),
@@ -822,7 +822,7 @@ def _pdelta_with_fourth_delta() -> PDelta:
     lambda: density_spectra(np.array([np.eye(2) / 2, [[np.inf, 0], [0, 1]]])),
     lambda: PDelta((0.2, 0.3, 0.5), (np.inf, 0, 0)),
     lambda: PDelta((0.2, 0.3, 0.5), (-np.inf, 0, 0)),
-    lambda: synthesize_coeffs(BlockUnitaries((np.array([[np.inf]]),)), irreps_cyclic(1)),
+    lambda: synthesize_coeffs((np.array([[np.inf]]),), irreps_cyclic(1)),
     lambda: block_decompose(np.full((6, 6), np.inf), irreps_s3()),
 ], ids=["qtriple", "density", "pdelta", "s3coeffs", "synthesis", "nested-weights",
         "partial-swap", "from-probs", "from-bloch", "block-decompose", "s3-from-phases",
@@ -843,7 +843,7 @@ def test_nan_fails_validation(build):
     (lambda: QTriple(1e200, 0, 0), ValueError, r"sum \|q_i\|\^2"),
     (lambda: PDelta((0.2, 0.3, 0.5), (1e308, 1e308, 0)), ValueError, "delta sum"),
     (lambda: DensityMatrix.from_probs([1e308, 1e308]), ValueError, "sum to 1"),
-    (lambda: synthesize_coeffs(BlockUnitaries((np.array([[1e200]]),)), irreps_cyclic(1)),
+    (lambda: synthesize_coeffs((np.array([[1e200]]),), irreps_cyclic(1)),
      NonUnitaryBlock, "not unitary"),
     (lambda: block_decompose(np.full((6, 6), 1e308), irreps_s3()), NotBlockDiagonal, "off-block"),
 ], ids=["from-bloch", "density", "qtriple", "pdelta", "from-probs", "synthesis",
@@ -854,11 +854,18 @@ def test_overflow_fails_with_the_checks_own_error(build, error, match):
         build()
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
-def test_pure_scales_before_taking_the_norm(scale):
-    # the squared modulus of either entry over- or underflows; the state is still |+><+|
-    got = DensityMatrix.pure([scale, scale]).mat
-    assert np.abs(got - DensityMatrix.pure([1, 1]).mat).max() <= 1e-15
+@pytest.mark.parametrize("psi, same_as", [
+    ([1e200, 1e200], [1, 1]),
+    ([1e-200, 1e-200], [1, 1]),
+    ([1e-320, 1e-320], [1, 1]),
+    ([1e-310, 0], [1, 0]),
+    ([5e-324, 5e-324j], [1, 1j]),
+], ids=["huge", "tiny", "subnormal", "subnormal-and-zero", "subnormal-imaginary"])
+def test_pure_scales_before_taking_the_norm(psi, same_as):
+    # the squared modulus of each entry over- or underflows, or the entries are subnormal
+    # (a complex array divided by a subnormal real is inf+nanj); the state is still valid
+    got = DensityMatrix.pure(psi).mat
+    assert np.abs(got - DensityMatrix.pure(same_as).mat).max() <= 1e-15
 
 
 @pytest.mark.parametrize("call", [

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from qmix.groups import CoeffVector, Perm, cyclic_group, regular_lincomb, symmetric_group
 from qmix.irreps import (
-    BlockUnitaries,
     Irrep,
     IrrepSet,
     NonUnitaryBlock,
@@ -16,11 +15,14 @@ from qmix.irreps import (
     haar_unitary,
     irreps_cyclic,
     irreps_s3,
+    minimize,
     random_block_unitaries,
+    s3_phase_blocks,
     s3_two_dim_alt,
     synthesize_coeffs,
     tensor_rep,
     _factor_axes,
+    _flat_residuals,
 )
 
 S3 = symmetric_group(3)
@@ -110,13 +112,13 @@ class TestFourier:
 class TestSynthesis:
     def test_element_blocks_give_indicator(self):
         for g0 in S3.elements:
-            z = synthesize_coeffs(BlockUnitaries.from_element(IR3, g0), IR3)
+            z = synthesize_coeffs(tuple(r(g0) for r in IR3), IR3)
             expect = np.zeros(6)
             expect[g0] = 1
             assert_allclose(z.coeffs, expect, atol=1e-14)
 
     def test_identity_blocks_give_identity_indicator(self):
-        z = synthesize_coeffs(BlockUnitaries.from_element(IR3, S3.identity_id), IR3)
+        z = synthesize_coeffs(tuple(r(S3.identity_id) for r in IR3), IR3)
         assert_allclose(z.coeffs, CoeffVector.indicator(S3, 0).coeffs, atol=1e-14)
 
     def test_round_trip_random(self):
@@ -125,12 +127,12 @@ class TestSynthesis:
             blocks = random_block_unitaries(IR3, rng)
             z = synthesize_coeffs(blocks, IR3)
             back = extract_blocks(z, IR3)
-            for B, U in zip(back.blocks, blocks.blocks):
+            for B, U in zip(back, blocks):
                 assert_allclose(B, U, atol=1e-12)
             assert unitarity_residual(regular_lincomb(z)) < 1e-10
 
     def test_non_unitary_block_rejected(self):
-        bad = BlockUnitaries((np.array([[2.0]]), np.array([[1.0]]), np.eye(2) * 1j))
+        bad = (np.array([[2.0]]), np.array([[1.0]]), np.eye(2) * 1j)
         with pytest.raises(NonUnitaryBlock):
             synthesize_coeffs(bad, IR3)
 
@@ -144,7 +146,7 @@ class TestSynthesis:
     def test_indicator_extracts_to_irrep_matrices(self):
         for g in S3.elements:
             blocks = extract_blocks(CoeffVector.indicator(S3, g), IR3)
-            for B, r in zip(blocks.blocks, IR3):
+            for B, r in zip(blocks, IR3):
                 assert_allclose(B, r(g), atol=1e-14)
 
     def test_z2_synthesis_formula(self):
@@ -152,8 +154,7 @@ class TestSynthesis:
         rng = np.random.default_rng(7)
         for _ in range(20):
             p1, p2 = rng.uniform(0, 2 * np.pi, 2)
-            blocks = BlockUnitaries((np.array([[np.exp(1j * p1)]]),
-                                     np.array([[np.exp(1j * p2)]])))
+            blocks = (np.array([[np.exp(1j * p1)]]), np.array([[np.exp(1j * p2)]]))
             z = synthesize_coeffs(blocks, z2)
             assert abs(z.coeffs[0] - (np.exp(1j * p1) + np.exp(1j * p2)) / 2) < 1e-14
             assert abs(z.coeffs[1] - (np.exp(1j * p1) - np.exp(1j * p2)) / 2) < 1e-14
@@ -274,22 +275,51 @@ class TestFlatSearch:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_solutions_lie_in_the_exact_set(self, exact_flat_set, seed):
-        found = flat_unitary_search(IR3, 60, seed)
+        found = flat_unitary_search(60, seed)
         assert found
         for z in found:
             assert np.abs(exact_flat_set - z.coeffs).max(axis=1).min() <= 1e-12
 
     def test_finds_flat_unitaries(self):
-        found = flat_unitary_search(IR3, attempts=6, seed=3)
+        found = flat_unitary_search(attempts=6, seed=3)
         assert len(found) >= 1
         target = 1 / np.sqrt(6)
         for z in found:
             assert np.abs(np.abs(z.coeffs) - target).max() < 1e-8
             assert unitarity_residual(regular_lincomb(z)) < 1e-10
 
+    def test_stacked_residuals_match_block_synthesis(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.uniform(0, 2 * np.pi, (200, 2)), rng.normal(size=(200, 4))], axis=1)
+        stacked = _flat_residuals(x)
+        for row, got in zip(x, stacked):
+            phi1, phi2, ar, ai, cr, ci = row
+            nrm = np.sqrt(ar * ar + ai * ai + cr * cr + ci * ci)
+            blocks = s3_phase_blocks(phi1, phi2, complex(ar, ai) / nrm, complex(cr, ci) / nrm)
+            want = np.abs(synthesize_coeffs(blocks, IR3).coeffs) ** 2 - 1 / 6
+            assert np.abs(got - want).max() <= 1e-15
+            assert np.abs(_flat_residuals(row[None])[0] - want).max() <= 1e-15
+
+    def test_zero_norm_block_row_scores_one(self):
+        x = np.array([[0.3, -0.2, 0, 0, 0, 0], [0.3, -0.2, 1e-13, 0, 0, 0], [0.3, -0.2, 1, 0, 0, 0]])
+        r = _flat_residuals(x)
+        assert_array_equal(r[:2], 1.0)
+        assert np.abs(r[2]).max() < 1  # a unit (a, c) row is scored by the closed form
+
+    def test_one_residual_call_per_jacobian(self):
+        rows = []
+
+        def counted(x):
+            rows.append(len(x))
+            return _flat_residuals(x)
+
+        fit = minimize(counted, np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
+        assert fit.nit > 0 and rows.count(12) == fit.nit
+        assert sum(rows) == fit.nfev  # nfev counts residual rows
+
     def test_deterministic(self):
-        a = flat_unitary_search(IR3, attempts=4, seed=11)
-        b = flat_unitary_search(IR3, attempts=4, seed=11)
+        a = flat_unitary_search(attempts=4, seed=11)
+        b = flat_unitary_search(attempts=4, seed=11)
         assert len(a) == len(b)
         for za, zb in zip(a, b):
             assert_allclose(za.coeffs, zb.coeffs, atol=0)

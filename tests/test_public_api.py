@@ -13,6 +13,7 @@ REMOVED = [
     "irreps_to_json",
     "irreps_from_json",
     "S3Coeffs",
+    "BlockUnitaries",
 ]
 
 
@@ -41,5 +42,4 @@ def test_removed_methods_are_gone():
     assert not hasattr(qmix.FiniteGroup, "from_json")
     assert not hasattr(qmix.FiniteGroup, "to_json")
     assert "name" not in qmix.FiniteGroup.__dataclass_fields__
-    assert not hasattr(qmix.BlockUnitaries, "identity")
     assert not hasattr(qmix.DensityMatrix, "eigenvalues")
