@@ -75,6 +75,7 @@ from .states import (
 FORMAT_TAG = "qmix/1"
 MAX_CYCLIC_ORDER = 120  # the order of S5, the largest group symmetric_group builds
 SCAN_CHUNK = 256  # epi-scan samples evaluated per stacked call; the report does not depend on it
+DRAW_BLOCK = 256  # epi-scan samples drawn from one generator; changing it changes what a seed names
 
 
 class CliError(Exception):
@@ -350,29 +351,37 @@ def _cmd_orbit(args) -> int:
 # epi-scan
 
 
+def _draw_block(n: int, d: int, seed: int, b: int) -> tuple[np.ndarray, ...]:
+    """Raw draws of samples b*DRAW_BLOCK..(b+1)*DRAW_BLOCK-1, all from SeedSequence((seed, b)).
+
+    Always the whole block, in this order, so a row never depends on which
+    range asked for it: the state normals, then uniform lam and the signs
+    for n = 2, or the q-triple's phase and its normals for n = 3.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+    normals = rng.normal(size=(DRAW_BLOCK, n * 2 * d * d))
+    if n == 2:
+        return normals, rng.uniform(size=DRAW_BLOCK), 1 - 2 * rng.integers(2, size=DRAW_BLOCK)
+    return normals, rng.uniform(0, 2 * np.pi, size=DRAW_BLOCK), rng.normal(size=(DRAW_BLOCK, 4))
+
+
 def _draw(n: int, d: int, seed: int, start: int, stop: int):
     """States (N, n, d, d) and parameters of samples start..stop-1.
 
-    Sample i is drawn from SeedSequence((seed, i)) alone: n states as by
-    ``random_density(d)``, then (lam, sign) for n = 2 or the q-triple of
-    ``random_qtriple`` for n = 3, in the same stream.  Returns (states,
-    (lam, sign)) with (N,) arrays for n = 2 and (states, q) with (N, 3)
-    q-rows for n = 3.
+    Sample i is row i % DRAW_BLOCK of block i // DRAW_BLOCK (``_draw_block``):
+    n states as by ``random_density(d)`` from its normals, then (lam, sign)
+    for n = 2 or the q-triple of ``random_qtriple``'s phase rule for n = 3.
+    Returns (states, (lam, sign)) with (N,) arrays for n = 2 and (states, q)
+    with (N, 3) q-rows for n = 3.
     """
-    normals, first, second = [], [], []
-    for i in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        normals.append(rng.normal(size=n * 2 * d * d))
-        if n == 2:
-            first.append(rng.uniform())
-            second.append(+1 if rng.integers(2) == 0 else -1)
-        else:
-            first.append(rng.uniform(0, 2 * np.pi))
-            second.append(rng.normal(size=4))
-    states = _gram_states(np.reshape(normals, (-1, n, 2, d, d)))
+    b0 = start // DRAW_BLOCK
+    blocks = [_draw_block(n, d, seed, b) for b in range(b0, (stop - 1) // DRAW_BLOCK + 1)]
+    lo = start - b0 * DRAW_BLOCK
+    normals, first, second = (np.concatenate(cols)[lo:lo + stop - start] for cols in zip(*blocks))
+    states = _gram_states(normals.reshape(-1, n, 2, d, d))
     if n == 2:
-        return states, (np.array(first), np.array(second))
-    return states, _balanced_q_rows(np.array(first), np.reshape(second, (-1, 4)))
+        return states, (first, second)
+    return states, _balanced_q_rows(first, second)
 
 
 def _gaps(n: int, fname: str, states: np.ndarray, params) -> np.ndarray:
@@ -394,8 +403,10 @@ def _gaps(n: int, fname: str, states: np.ndarray, params) -> np.ndarray:
 def _scan_range(packed) -> tuple[float, int, int]:
     n, d, fname, seed, start, stop = packed
     best, best_idx, neg = np.inf, -1, 0
-    for lo in range(start, stop, SCAN_CHUNK):
-        gaps = _gaps(n, fname, *_draw(n, d, seed, lo, min(lo + SCAN_CHUNK, stop)))
+    # chunks end at multiples of SCAN_CHUNK: with SCAN_CHUNK == DRAW_BLOCK each chunk draws one block
+    edges = [start, *range((start // SCAN_CHUNK + 1) * SCAN_CHUNK, stop, SCAN_CHUNK), stop]
+    for lo, hi in zip(edges, edges[1:]):
+        gaps = _gaps(n, fname, *_draw(n, d, seed, lo, hi))
         k = int(np.argmin(np.where(np.isnan(gaps), np.inf, gaps)))  # first minimum, NaN skipped
         if gaps[k] < best:
             best, best_idx = float(gaps[k]), lo + k
@@ -404,7 +415,7 @@ def _scan_range(packed) -> tuple[float, int, int]:
 
 
 def _argmin_sample(n: int, d: int, fname: str, seed: int, index: int) -> tuple[float, dict]:
-    """Concavity gap and reproduction record of one sample, drawn once as a batch of one."""
+    """Concavity gap and reproduction record of one sample, drawn from its block as a batch of one."""
     states, params = _draw(n, d, seed, index, index + 1)
     detail: dict = {"sample_index": index, "seed_path": [seed, index],
                     "states": [pairs(r) for r in states[0]]}

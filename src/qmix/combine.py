@@ -55,7 +55,6 @@ __all__ = [
     "z_from_q",
     "pdelta_from_q",
     "q_from_pdelta",
-    "covariance_check",
     "third_order_reduce",
     "nested_expand",
     "nested_params_for_weights",
@@ -482,19 +481,6 @@ def q_from_pdelta(pd: PDelta) -> QTriple:
     phases = np.array([0.0, -d12, d31])
     q = np.exp(1j * phases) * np.sqrt(np.maximum(p, 0.0))
     return QTriple(*q)
-
-
-def covariance_check(op, V: np.ndarray, inputs) -> float:
-    """Max |op(V rho_i V^dag, ...) - V op(rho_i, ...) V^dag|.
-
-    ``op`` maps a tuple of DensityMatrix to a DensityMatrix.  Any mix
-    built from permutation conjugation commutes with identical local
-    basis changes, so this should vanish for the combiners.
-    """
-    rotated = [DensityMatrix(V @ r.mat @ V.conj().T, check=False) for r in inputs]
-    lhs = op(*rotated).mat
-    rhs = V @ op(*inputs).mat @ V.conj().T
-    return float(np.abs(lhs - rhs).max())
 
 
 def third_order_reduce(q: QTriple) -> tuple[float, float]:

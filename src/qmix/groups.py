@@ -130,6 +130,12 @@ class FiniteGroup:
         self.identity_id = e
         self.inverses = inv
 
+    def __eq__(self, other) -> bool:
+        """Groups are equal when their Cayley tables are; labels and perms only name elements."""
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self is other or np.array_equal(self.cayley, other.cayley)
+
     @property
     def order(self) -> int:
         return self.cayley.shape[0]
@@ -221,7 +227,7 @@ class CoeffVector:
 
 def _is_over(z: CoeffVector, group: FiniteGroup) -> bool:
     """Whether z is a vector over ``group``: that group, or one with the same Cayley table."""
-    return z.group is group or np.array_equal(z.group.cayley, group.cayley)
+    return z.group == group
 
 
 def regular_lincomb(z: CoeffVector) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "tensor",
     "partial_trace",
     "commutator",
-    "double_commutator",
     "random_density",
     "density_spectra",
     "entropy",
@@ -190,11 +189,6 @@ def commutator(A, B) -> np.ndarray:
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
     return A @ B - B @ A
-
-
-def double_commutator(A, B, C) -> np.ndarray:
-    """[A, [B, C]]."""
-    return commutator(A, commutator(B, C))
 
 
 def random_density(d: int, rank: int | None = None, seed=None) -> DensityMatrix:

@@ -1,5 +1,7 @@
 import numpy as np
 
+from qmix.states import DensityMatrix, commutator
+
 
 def random_s3_phases(rng: np.random.Generator, balanced: bool = True
                      ) -> tuple[float, float, complex, complex]:
@@ -13,3 +15,21 @@ def random_s3_phases(rng: np.random.Generator, balanced: bool = True
     v = rng.normal(size=4)
     v = v / np.linalg.norm(v)
     return phi1, phi2, complex(v[0], v[1]), complex(v[2], v[3])
+
+
+def double_commutator(A, B, C) -> np.ndarray:
+    """[A, [B, C]]."""
+    return commutator(A, commutator(B, C))
+
+
+def covariance_check(op, V: np.ndarray, inputs) -> float:
+    """Max |op(V rho_i V^dag, ...) - V op(rho_i, ...) V^dag|.
+
+    ``op`` maps a tuple of DensityMatrix to a DensityMatrix.  Any mix
+    built from permutation conjugation commutes with identical local
+    basis changes, so this should vanish for the combiners.
+    """
+    rotated = [DensityMatrix(V @ r.mat @ V.conj().T, check=False) for r in inputs]
+    lhs = op(*rotated).mat
+    rhs = V @ op(*inputs).mat @ V.conj().T
+    return float(np.abs(lhs - rhs).max())

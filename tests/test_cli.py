@@ -16,10 +16,10 @@ import qmix
 import qmix.cli as cli
 from qmix._serial import pairs
 from qmix.cli import main
-from qmix.combine import combine2, combine3_closed, random_qtriple
+from qmix.combine import _balanced_q_rows, combine2, combine3_closed, random_qtriple
 from qmix.irreps import s3_coeffs_from_phases
 from qmix.linkage import write_orbit_csv
-from qmix.states import DensityMatrix, EntropyFunctional, bloch_vector, random_density
+from qmix.states import DensityMatrix, EntropyFunctional, _gram_states, bloch_vector, random_density
 
 
 def write_json(tmp_path, name, obj):
@@ -55,26 +55,49 @@ def states_file(tmp_path, name, mats):
     return write_json(tmp_path, name, {"states": [mat_json(m) for m in mats]})
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Run epi-scan's worker ranges in this process, on a machine with 4 CPUs; gives the pool sizes."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    return sizes
+
+
 # argmin record of `epi-scan --n 3 --d 2 --samples 400 --seed 5`, floats as their repr
 PINNED_ARGMIN = {
-    "sample_index": 215,
-    "seed_path": [5, 215],
+    "sample_index": 255,
+    "seed_path": [5, 255],
     "states": [
         [
-            [[0.41298718009135293, 6.186080745605242e-18], [0.22426633095727663, 0.04521313421994132]],
-            [[0.22426633095727663, -0.04521313421994133], [0.587012819908647, -1.1200577987959099e-17]],
+            [[0.4387276544879293, -3.9487487378148386e-18], [0.2711346727832095, 0.32096319278254093]],
+            [[0.2711346727832095, -0.32096319278254093], [0.5612723455120706, 5.874762261409726e-18]],
         ],
         [
-            [[0.8607765846896981, -1.6472607495641603e-17], [0.22379936106395037, 0.12700289371882661]],
-            [[0.22379936106395037, -0.12700289371882661], [0.13922341531030188, -3.8694660851441206e-19]],
+            [[0.38325462427465296, -1.2398102809486563e-18], [0.19396197791506847, -0.05863958283793894]],
+            [[0.19396197791506847, 0.05863958283793893], [0.6167453757253469, -3.815531077930238e-18]],
         ],
         [
-            [[0.7669694707754203, -1.0008647204982951e-18], [0.25567852746013664, 0.11242092936254605]],
-            [[0.25567852746013664, -0.11242092936254605], [0.2330305292245798, -1.6879431643828423e-18]],
+            [[0.38641144791542303, 5.338006993082732e-18], [0.10871992989506367, -0.3552941267330023]],
+            [[0.10871992989506367, 0.3552941267330023], [0.613588552084577, -1.0629392401061353e-17]],
         ],
     ],
-    "q": [[-0.056286883667021746, -0.07253085166090215], [0.5761733280046412, 0.49803158409042675],
-          [0.4801135556623808, -0.4255007324295247]],
+    "q": [[-0.03776308427292303, -0.0863902460606101], [0.9833034826634263, 0.13680989301637306],
+          [0.05445960160949682, -0.050419646955762974]],
 }
 
 IDENTITY_BLOCKS = {
@@ -484,27 +507,34 @@ class TestEpiScan:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_draw_matches_the_single_samplers(self, d):
-        # sample i is random_density(d) n times, then random_qtriple (or lam, sign), from one stream
+        # block 0 is drawn whole from SeedSequence((9, 0)) and passes through the single samplers'
+        # rules (random_density, random_qtriple); any range is a slice of whole blocks
+        B = cli.DRAW_BLOCK
         for n in (2, 3):
-            states, params = cli._draw(n, d, 9, 20, 24)
-            for k, i in enumerate(range(20, 24)):
-                rng = np.random.default_rng(np.random.SeedSequence((9, i)))
-                for mat in states[k]:
-                    np.testing.assert_array_equal(mat, random_density(d, seed=rng).mat)
-                if n == 3:
-                    np.testing.assert_array_equal(params[k], random_qtriple(rng).as_array())
-                else:
-                    assert (params[0][k], params[1][k]) == (rng.uniform(), 1 - 2 * rng.integers(2))
+            states, params = cli._draw(n, d, 9, 0, 3 * B)
+            part_states, part_params = cli._draw(n, d, 9, 250, 530)
+            np.testing.assert_array_equal(part_states, states[250:530])
+            rng = np.random.default_rng(np.random.SeedSequence((9, 0)))
+            normals = rng.normal(size=(B, n * 2 * d * d))
+            np.testing.assert_array_equal(states[:B], _gram_states(normals.reshape(B, n, 2, d, d)))
+            if n == 2:
+                lam, sign = rng.uniform(size=B), 1 - 2 * rng.integers(2, size=B)
+                np.testing.assert_array_equal(np.stack(params)[:, :B], [lam, sign])
+                np.testing.assert_array_equal(np.stack(part_params), np.stack(params)[:, 250:530])
+            else:
+                q = _balanced_q_rows(rng.uniform(0, 2 * np.pi, size=B), rng.normal(size=(B, 4)))
+                np.testing.assert_array_equal(params[:B], q)
+                np.testing.assert_array_equal(part_params, params[250:530])
 
     def test_draw_stream_is_pinned(self, capsys):
-        # the states and q of this scan's argmin, exactly as the per-sample scan recorded them
+        # the states and q of this scan's argmin, exactly as the block draw recorded them
         rc, doc = run(capsys, "epi-scan", "--n", "3", "--d", "2", "--samples", "400",
                       "--seed", "5")
         assert rc == 0
         rep = report_of(doc)
         assert rep["argmin"] == PINNED_ARGMIN
         assert rep["negative_samples"] == 0
-        assert abs(rep["min_gap"] - 0.01022054774360781) <= 1e-12
+        assert abs(rep["min_gap"] - 0.004226493327209813) <= 1e-12
 
     @pytest.mark.parametrize("n, d", [(2, 2), (3, 3)])
     def test_chunk_size_invariant(self, capsys, monkeypatch, n, d):
@@ -527,29 +557,47 @@ class TestEpiScan:
         rc, _ = run(capsys, "epi-scan", "--n", "2", "--samples", "0")
         assert rc == 2
 
-    def test_pool_never_exceeds_cpus_or_samples(self, capsys, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    def test_pool_never_exceeds_cpus_or_samples(self, capsys, serial_pool):
         argv = ("epi-scan", "--n", "2", "--seed", "5")
         docs = [run(capsys, *argv, "--samples", n, "--workers", w)[1]
                 for n, w in (("10", "1"), ("10", "100000"), ("3", "100000"))]
-        assert sizes == [4, 3]
+        assert serial_pool == [4, 3]
         assert strip_timing(docs[0]) == strip_timing(docs[1])
+
+    def test_worker_split_inside_a_block(self, capsys, serial_pool):
+        # two workers split 1000 samples at 500, inside block 1, which each of them draws
+        argv = ("epi-scan", "--n", "3", "--samples", "1000", "--seed", "4")
+        docs = [strip_timing(run(capsys, *argv, "--workers", w)[1]) for w in ("1", "2")]
+        assert serial_pool == [2]
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sample_counts_off_block_boundaries(self, capsys, n):
+        # a scan of the first N samples sees the same per-sample gaps whatever N is
+        gaps = cli._gaps(n, "von-neumann", *cli._draw(n, 2, 8, 0, 1000))
+        for samples in (1, 255, 257, 1000):
+            rc, doc = run(capsys, "epi-scan", "--n", str(n), "--samples", str(samples), "--seed", "8")
+            assert rc == 0
+            rep, head = report_of(doc), gaps[:samples]
+            assert rep["min_gap"] == head.min()
+            assert rep["argmin"]["sample_index"] == int(np.argmin(head))
+            assert rep["negative_samples"] == int(np.count_nonzero(head < 0))
+
+    @pytest.mark.parametrize("workers, blocks", [("1", [0, 1, 2, 3]), ("2", [0, 1, 1, 2, 3])])
+    def test_one_seed_sequence_per_block(self, capsys, monkeypatch, serial_pool, workers, blocks):
+        # 1000 samples are four blocks, each drawn once per worker that needs it, and the argmin
+        # redraws its own; per-sample seeding would make 1001
+        seeds = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args):
+            seeds.append(args)
+            return seed_sequence(*args)
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        rc, doc = run(capsys, "epi-scan", "--n", "3", "--samples", "1000", "--workers", workers)
+        assert rc == 0
+        argmin_block = report_of(doc)["argmin"]["sample_index"] // cli.DRAW_BLOCK
+        assert seeds == [((0, b),) for b in blocks + [argmin_block]]
 
     def test_rigged_functional_fails_binary_scan(self, capsys, monkeypatch):
         # anti-concave functional: mixing can only lower it

@@ -18,7 +18,6 @@ from qmix.combine import (
     combine3_closed,
     combine3_closed_stacked,
     combine3_magic,
-    covariance_check,
     delta_from_nested,
     independence_residual,
     nested_expand,
@@ -51,7 +50,7 @@ from qmix.states import (
     tensor,
 )
 
-from conftest import random_s3_phases
+from conftest import covariance_check, random_s3_phases
 
 IR3 = irreps_s3()
 S3 = IR3.group

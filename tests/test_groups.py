@@ -120,6 +120,13 @@ class TestGroupConstruction:
         with pytest.raises(ValueError, match="associative"):
             FiniteGroup(loop)
 
+    def test_equality_is_on_the_cayley_table(self):
+        assert symmetric_group(3) == symmetric_group(3)
+        assert S3 == FiniteGroup(S3.cayley)  # labels and perms do not enter
+        assert S3 != cyclic_group(6)
+        assert S3 != symmetric_group(4)
+        assert S3 != "s3"
+
     def test_inverses_consistent(self):
         for G in (S3, cyclic_group(5), symmetric_group(4)):
             for g in G.elements:

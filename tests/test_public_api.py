@@ -14,6 +14,8 @@ REMOVED = [
     "irreps_from_json",
     "S3Coeffs",
     "BlockUnitaries",
+    "double_commutator",
+    "covariance_check",
 ]
 
 

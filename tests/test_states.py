@@ -10,7 +10,6 @@ from qmix.states import (
     bloch_vector,
     commutator,
     density_spectra,
-    double_commutator,
     entropy,
     get_functional,
     partial_trace,
@@ -18,6 +17,8 @@ from qmix.states import (
     tensor,
     _require,
 )
+
+from conftest import double_commutator
 
 S3 = symmetric_group(3)
 
