@@ -74,7 +74,6 @@ from .states import (
 
 FORMAT_TAG = "qmix/1"
 MAX_CYCLIC_ORDER = 120  # the order of S5, the largest group symmetric_group builds
-SCAN_CHUNK = 256  # epi-scan samples evaluated per stacked call; the report does not depend on it
 DRAW_BLOCK = 256  # epi-scan samples drawn from one generator; changing it changes what a seed names
 
 
@@ -351,37 +350,24 @@ def _cmd_orbit(args) -> int:
 # epi-scan
 
 
-def _draw_block(n: int, d: int, seed: int, b: int) -> tuple[np.ndarray, ...]:
-    """Raw draws of samples b*DRAW_BLOCK..(b+1)*DRAW_BLOCK-1, all from SeedSequence((seed, b)).
+def _draw(n: int, d: int, seed: int, b: int, lo: int, hi: int):
+    """States (N, n, d, d) and parameters of samples b*DRAW_BLOCK + lo..hi-1.
 
-    Always the whole block, in this order, so a row never depends on which
-    range asked for it: the state normals, then uniform lam and the signs
-    for n = 2, or the q-triple's phase and its normals for n = 3.
+    Block b is drawn whole from SeedSequence((seed, b)), in this order, so a
+    row never depends on which rows were asked for: normals for n states as
+    by ``random_density(d)``, then uniform lam and the signs for n = 2, or
+    ``random_qtriple``'s phase and normals for n = 3.  Returns (states,
+    (lam, sign)) with (N,) arrays for n = 2 and (states, q) with (N, 3)
+    q-rows for n = 3.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-    normals = rng.normal(size=(DRAW_BLOCK, n * 2 * d * d))
-    if n == 2:
-        return normals, rng.uniform(size=DRAW_BLOCK), 1 - 2 * rng.integers(2, size=DRAW_BLOCK)
-    return normals, rng.uniform(0, 2 * np.pi, size=DRAW_BLOCK), rng.normal(size=(DRAW_BLOCK, 4))
-
-
-def _draw(n: int, d: int, seed: int, start: int, stop: int):
-    """States (N, n, d, d) and parameters of samples start..stop-1.
-
-    Sample i is row i % DRAW_BLOCK of block i // DRAW_BLOCK (``_draw_block``):
-    n states as by ``random_density(d)`` from its normals, then (lam, sign)
-    for n = 2 or the q-triple of ``random_qtriple``'s phase rule for n = 3.
-    Returns (states, (lam, sign)) with (N,) arrays for n = 2 and (states, q)
-    with (N, 3) q-rows for n = 3.
-    """
-    b0 = start // DRAW_BLOCK
-    blocks = [_draw_block(n, d, seed, b) for b in range(b0, (stop - 1) // DRAW_BLOCK + 1)]
-    lo = start - b0 * DRAW_BLOCK
-    normals, first, second = (np.concatenate(cols)[lo:lo + stop - start] for cols in zip(*blocks))
+    normals = rng.normal(size=(DRAW_BLOCK, n * 2 * d * d))[lo:hi]
     states = _gram_states(normals.reshape(-1, n, 2, d, d))
     if n == 2:
-        return states, (first, second)
-    return states, _balanced_q_rows(first, second)
+        lam, sign = rng.uniform(size=DRAW_BLOCK), 1 - 2 * rng.integers(2, size=DRAW_BLOCK)
+        return states, (lam[lo:hi], sign[lo:hi])
+    phase, q_normals = rng.uniform(0, 2 * np.pi, size=DRAW_BLOCK), rng.normal(size=(DRAW_BLOCK, 4))
+    return states, _balanced_q_rows(phase[lo:hi], q_normals[lo:hi])
 
 
 def _gaps(n: int, fname: str, states: np.ndarray, params) -> np.ndarray:
@@ -400,23 +386,24 @@ def _gaps(n: int, fname: str, states: np.ndarray, params) -> np.ndarray:
     return values[:, 0] - sum(weights[:, k] * values[:, k + 1] for k in range(n))
 
 
-def _scan_range(packed) -> tuple[float, int, int]:
-    n, d, fname, seed, start, stop = packed
+def _scan_blocks(packed) -> tuple[float, int, int]:
+    """(min gap, its sample index, negative gaps) over blocks b0..b1-1 of the first `samples`."""
+    n, d, fname, seed, samples, b0, b1 = packed
     best, best_idx, neg = np.inf, -1, 0
-    # chunks end at multiples of SCAN_CHUNK: with SCAN_CHUNK == DRAW_BLOCK each chunk draws one block
-    edges = [start, *range((start // SCAN_CHUNK + 1) * SCAN_CHUNK, stop, SCAN_CHUNK), stop]
-    for lo, hi in zip(edges, edges[1:]):
-        gaps = _gaps(n, fname, *_draw(n, d, seed, lo, hi))
+    for b in range(b0, b1):
+        start = b * DRAW_BLOCK
+        gaps = _gaps(n, fname, *_draw(n, d, seed, b, 0, min(samples - start, DRAW_BLOCK)))
         k = int(np.argmin(np.where(np.isnan(gaps), np.inf, gaps)))  # first minimum, NaN skipped
         if gaps[k] < best:
-            best, best_idx = float(gaps[k]), lo + k
+            best, best_idx = float(gaps[k]), start + k
         neg += int(np.count_nonzero(gaps < 0))
     return best, best_idx, neg
 
 
 def _argmin_sample(n: int, d: int, fname: str, seed: int, index: int) -> tuple[float, dict]:
     """Concavity gap and reproduction record of one sample, drawn from its block as a batch of one."""
-    states, params = _draw(n, d, seed, index, index + 1)
+    b, row = divmod(index, DRAW_BLOCK)
+    states, params = _draw(n, d, seed, b, row, row + 1)
     detail: dict = {"sample_index": index, "seed_path": [seed, index],
                     "states": [pairs(r) for r in states[0]]}
     if n == 2:
@@ -440,16 +427,16 @@ def _cmd_epi_scan(args) -> int:
         get_functional(args.functional)
     except KeyError as exc:
         raise CliError(2, str(exc.args[0])) from exc
-    spec = (args.n, args.d, args.functional, args.seed)
-    # the pool starts every worker up front, so never ask for more than can be busy
-    workers = min(args.workers, args.samples, os.cpu_count() or 1)
+    spec = (args.n, args.d, args.functional, args.seed, args.samples)
+    blocks = -(-args.samples // DRAW_BLOCK)
+    # whole blocks per worker; the pool starts every worker up front, so none may be idle
+    workers = min(args.workers, blocks, os.cpu_count() or 1)
+    ranges = [spec + (blocks * w // workers, blocks * (w + 1) // workers) for w in range(workers)]
     if workers > 1:
-        bounds = np.linspace(0, args.samples, workers + 1).astype(int)
-        chunks = [spec + (int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_range, chunks))
+            parts = list(pool.map(_scan_blocks, ranges))
     else:
-        parts = [_scan_range(spec + (0, args.samples))]
+        parts = list(map(_scan_blocks, ranges))
     min_gap = min(p[0] for p in parts)
     argmin = min(p[1] for p in parts if p[0] == min_gap)
     negatives = sum(p[2] for p in parts)

@@ -175,10 +175,10 @@ class QTriple:
 class PDelta:
     """Weights plus consecutive phase differences: q_k = e^{i phi_k} sqrt(p_k).
 
-    Stores delta_12 = phi_1 - phi_2 etc., each normalized to (-pi, pi].
-    The deltas must sum to zero mod 2*pi, and the weighted cosine sum
-    sqrt(p1 p2) cos d12 + sqrt(p2 p3) cos d23 + sqrt(p3 p1) cos d31 must
-    vanish — together these make the triple realizable.
+    Stores delta_12 = phi_1 - phi_2 etc. as given, unwrapped; ``pdelta_from_q``
+    gives them in [-pi, pi).  The deltas must sum to zero mod 2*pi, and the
+    weighted cosine sum sqrt(p1 p2) cos d12 + sqrt(p2 p3) cos d23 +
+    sqrt(p3 p1) cos d31 must vanish — together these make the triple realizable.
     """
 
     p: tuple[float, float, float]

@@ -97,7 +97,6 @@ class FiniteGroup:
     """
 
     cayley: np.ndarray
-    labels: tuple[str, ...] | None = None
     perms: tuple[Perm, ...] | None = None  # set for symmetric groups
     identity_id: int = field(init=False)
     inverses: np.ndarray = field(init=False)
@@ -131,7 +130,7 @@ class FiniteGroup:
         self.inverses = inv
 
     def __eq__(self, other) -> bool:
-        """Groups are equal when their Cayley tables are; labels and perms only name elements."""
+        """Groups are equal when their Cayley tables are; perms only name elements."""
         if not isinstance(other, FiniteGroup):
             return NotImplemented
         return self is other or np.array_equal(self.cayley, other.cayley)
@@ -169,8 +168,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     index = {p.images: i for i, p in enumerate(perms)}
     table = [[index[(perms[i] * perms[j]).images] for j in range(len(perms))]
              for i in range(len(perms))]
-    labels = tuple("".join(map(str, p.images)) for p in perms)
-    return FiniteGroup(np.array(table), labels=labels, perms=perms)
+    return FiniteGroup(np.array(table), perms=perms)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -179,7 +177,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise ValueError("n must be >= 1")
     i = np.arange(n)
     table = (i[:, None] + i[None, :]) % n
-    return FiniteGroup(table, labels=tuple(map(str, range(n))))
+    return FiniteGroup(table)
 
 
 def left_regular(group: FiniteGroup, g: int) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import (QTriple, _closed_rows, _is_probability_triple, _phase_deltas, cos_vanishes,
-                      wrap_angle)
+from .combine import (_CONSTRAINT_TOL, QTriple, _closed_rows, _is_probability_triple, _phase_deltas,
+                      cos_vanishes, wrap_angle)
 from .states import _require
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "config_deltas",
 ]
 
-_SUM_TOL = 1e-10
 _TANGENT_TOL = 1e-9
 _ZERO_RADIUS = 1e-12
 _MAX_STEPS = 1_000_000  # caps memory: orbit_trace at 10^6 steps already peaks near 650 MiB
@@ -50,7 +49,8 @@ class LinkageSpec:
         if not 0 <= self.a <= self.b <= self.c <= 1:
             raise ValueError("lengths must satisfy 0 <= a <= b <= c <= 1")
         norm = self.a**2 + self.b**2 + self.c**2
-        _require(abs(norm - 1), _SUM_TOL, "squared lengths sum to {:.12g}, not 1", quote=norm)
+        _require(abs(norm - 1), _CONSTRAINT_TOL, "squared lengths sum to {:.12g}, not 1",
+                 quote=norm)
 
     @classmethod
     def from_weights(cls, p) -> tuple["LinkageSpec", tuple[float, float, float]]:
@@ -107,7 +107,7 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> lis
     configuration is returned.  Just past a tangency the circles miss by
     h^2 = r2^2 - x^2 < 0, and folding bars 2 and 3 onto the chord misses
     sum |q_i|^2 = 1 by -2 h^2, so that is done only while it stays within
-    the 1e-10 QTriple accepts; beyond it there is no configuration.
+    the ``_CONSTRAINT_TOL`` QTriple accepts; beyond it there is no configuration.
     """
     r1, r2, r3 = _check_assignment(spec, assignment)
     if not np.isfinite(theta):
@@ -118,7 +118,7 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> lis
             return [QTriple(r1 * np.exp(1j * theta), 0j, 0j)]
         return []
     x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
-    if r2 * r2 - x * x < -0.5 * _SUM_TOL:
+    if r2 * r2 - x * x < -0.5 * _CONSTRAINT_TOL:
         return []
     tangent = min(r2 + r3 - D, D - abs(r2 - r3)) < _TANGENT_TOL
     return [QTriple(*_config_at(r1, r2, r3, theta, branch))

@@ -473,10 +473,11 @@ class TestEpiScan:
         assert strip_timing(doc1) == strip_timing(doc2)
 
     def test_worker_count_invariant(self, capsys):
+        # three blocks, so --workers 3 runs a real process pool
         rc1, doc1 = run(capsys, "epi-scan", "--n", "3", "--d", "2",
-                        "--samples", "60", "--seed", "3", "--workers", "1")
+                        "--samples", "700", "--seed", "3", "--workers", "1")
         rc2, doc2 = run(capsys, "epi-scan", "--n", "3", "--d", "2",
-                        "--samples", "60", "--seed", "3", "--workers", "3")
+                        "--samples", "700", "--seed", "3", "--workers", "3")
         assert rc1 == rc2 == 0
         assert strip_timing(doc1) == strip_timing(doc2)
 
@@ -508,23 +509,28 @@ class TestEpiScan:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_draw_matches_the_single_samplers(self, d):
         # block 0 is drawn whole from SeedSequence((9, 0)) and passes through the single samplers'
-        # rules (random_density, random_qtriple); any range is a slice of whole blocks
+        # rules (random_density, random_qtriple); rows of a block are those rows of the whole block
         B = cli.DRAW_BLOCK
         for n in (2, 3):
-            states, params = cli._draw(n, d, 9, 0, 3 * B)
-            part_states, part_params = cli._draw(n, d, 9, 250, 530)
-            np.testing.assert_array_equal(part_states, states[250:530])
+            states, params = cli._draw(n, d, 9, 0, 0, B)
             rng = np.random.default_rng(np.random.SeedSequence((9, 0)))
             normals = rng.normal(size=(B, n * 2 * d * d))
-            np.testing.assert_array_equal(states[:B], _gram_states(normals.reshape(B, n, 2, d, d)))
+            np.testing.assert_array_equal(states, _gram_states(normals.reshape(B, n, 2, d, d)))
+            whole_states, whole_params = cli._draw(n, d, 9, 1, 0, B)
+            for lo, hi in ((250, B), (0, 1), (17, 130)):
+                part_states, part_params = cli._draw(n, d, 9, 1, lo, hi)
+                np.testing.assert_array_equal(part_states, whole_states[lo:hi])
+                if n == 2:
+                    np.testing.assert_array_equal(np.stack(part_params),
+                                                  np.stack(whole_params)[:, lo:hi])
+                else:
+                    np.testing.assert_array_equal(part_params, whole_params[lo:hi])
             if n == 2:
                 lam, sign = rng.uniform(size=B), 1 - 2 * rng.integers(2, size=B)
-                np.testing.assert_array_equal(np.stack(params)[:, :B], [lam, sign])
-                np.testing.assert_array_equal(np.stack(part_params), np.stack(params)[:, 250:530])
+                np.testing.assert_array_equal(np.stack(params), [lam, sign])
             else:
                 q = _balanced_q_rows(rng.uniform(0, 2 * np.pi, size=B), rng.normal(size=(B, 4)))
-                np.testing.assert_array_equal(params[:B], q)
-                np.testing.assert_array_equal(part_params, params[250:530])
+                np.testing.assert_array_equal(params, q)
 
     def test_draw_stream_is_pinned(self, capsys):
         # the states and q of this scan's argmin, exactly as the block draw recorded them
@@ -535,15 +541,6 @@ class TestEpiScan:
         assert rep["argmin"] == PINNED_ARGMIN
         assert rep["negative_samples"] == 0
         assert abs(rep["min_gap"] - 0.004226493327209813) <= 1e-12
-
-    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3)])
-    def test_chunk_size_invariant(self, capsys, monkeypatch, n, d):
-        argv = ("epi-scan", "--n", str(n), "--d", str(d), "--samples", "40", "--seed", "2")
-        docs = []
-        for chunk in (cli.SCAN_CHUNK, 7, 1):
-            monkeypatch.setattr(cli, "SCAN_CHUNK", chunk)
-            docs.append(strip_timing(run(capsys, *argv)[1]))
-        assert docs[0] == docs[1] == docs[2]
 
     def test_bad_dimension(self, capsys):
         rc, _ = run(capsys, "epi-scan", "--n", "2", "--d", "7")
@@ -557,24 +554,32 @@ class TestEpiScan:
         rc, _ = run(capsys, "epi-scan", "--n", "2", "--samples", "0")
         assert rc == 2
 
-    def test_pool_never_exceeds_cpus_or_samples(self, capsys, serial_pool):
+    def test_pool_never_exceeds_cpus_or_blocks(self, capsys, serial_pool):
+        # 10 samples are one block, so no pool; 1000 samples are four blocks on four CPUs
         argv = ("epi-scan", "--n", "2", "--seed", "5")
-        docs = [run(capsys, *argv, "--samples", n, "--workers", w)[1]
-                for n, w in (("10", "1"), ("10", "100000"), ("3", "100000"))]
-        assert serial_pool == [4, 3]
-        assert strip_timing(docs[0]) == strip_timing(docs[1])
+        docs = [strip_timing(run(capsys, *argv, "--samples", n, "--workers", w)[1])
+                for n, w in (("10", "1"), ("10", "100000"), ("1000", "1"), ("1000", "100000"))]
+        assert serial_pool == [4]
+        assert docs[0] == docs[1]
+        assert docs[2] == docs[3]
 
-    def test_worker_split_inside_a_block(self, capsys, serial_pool):
-        # two workers split 1000 samples at 500, inside block 1, which each of them draws
+    def test_worker_split_falls_on_a_block_edge(self, capsys, monkeypatch, serial_pool):
+        # two workers split 1000 samples (four blocks) at block 2, sample 512
+        spans, scan = [], cli._scan_blocks
+        monkeypatch.setattr(cli, "_scan_blocks",
+                            lambda packed: spans.append(packed[-2:]) or scan(packed))
         argv = ("epi-scan", "--n", "3", "--samples", "1000", "--seed", "4")
         docs = [strip_timing(run(capsys, *argv, "--workers", w)[1]) for w in ("1", "2")]
         assert serial_pool == [2]
+        assert spans == [(0, 4), (0, 2), (2, 4)]
         assert docs[0] == docs[1]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sample_counts_off_block_boundaries(self, capsys, n):
         # a scan of the first N samples sees the same per-sample gaps whatever N is
-        gaps = cli._gaps(n, "von-neumann", *cli._draw(n, 2, 8, 0, 1000))
+        B = cli.DRAW_BLOCK
+        gaps = np.concatenate([cli._gaps(n, "von-neumann", *cli._draw(n, 2, 8, b, 0, B))
+                               for b in range(4)])
         for samples in (1, 255, 257, 1000):
             rc, doc = run(capsys, "epi-scan", "--n", str(n), "--samples", str(samples), "--seed", "8")
             assert rc == 0
@@ -583,10 +588,11 @@ class TestEpiScan:
             assert rep["argmin"]["sample_index"] == int(np.argmin(head))
             assert rep["negative_samples"] == int(np.count_nonzero(head < 0))
 
-    @pytest.mark.parametrize("workers, blocks", [("1", [0, 1, 2, 3]), ("2", [0, 1, 1, 2, 3])])
+    @pytest.mark.parametrize("workers, blocks", [("1", [0, 1, 2, 3]), ("2", [0, 1, 2, 3]),
+                                                 ("3", [0, 1, 2, 3])])
     def test_one_seed_sequence_per_block(self, capsys, monkeypatch, serial_pool, workers, blocks):
-        # 1000 samples are four blocks, each drawn once per worker that needs it, and the argmin
-        # redraws its own; per-sample seeding would make 1001
+        # 1000 samples are four blocks, each drawn once whatever the worker count, and the
+        # argmin redraws its own; per-sample seeding would make 1001
         seeds = []
         seed_sequence = np.random.SeedSequence
 

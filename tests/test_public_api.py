@@ -44,4 +44,5 @@ def test_removed_methods_are_gone():
     assert not hasattr(qmix.FiniteGroup, "from_json")
     assert not hasattr(qmix.FiniteGroup, "to_json")
     assert "name" not in qmix.FiniteGroup.__dataclass_fields__
+    assert not hasattr(qmix.symmetric_group(3), "labels")
     assert not hasattr(qmix.DensityMatrix, "eigenvalues")
