@@ -65,6 +65,7 @@ from .states import (
     _bloch_rows,
     _gram_states,
     _require,
+    _spectra,
     bloch_vector,
     density_spectra,
     entropy,  # noqa: F401  bench/spans.py wraps it at this binding
@@ -288,7 +289,7 @@ def _cmd_combine(args) -> int:
         "diagnostics": {
             "trace": float(np.real(np.trace(M))),
             "hermiticity_residual": float(np.abs(M - M.conj().T).max()),
-            "min_eigenvalue": float(np.linalg.eigvalsh(M)[0]),
+            "min_eigenvalue": float(_spectra(M)[0]),
         },
     }
     if d == 2:

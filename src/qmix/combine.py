@@ -11,9 +11,10 @@ the tests:
 * ``combine3_magic``      — the explicit 36-term operator expansion;
 * ``combine3_closed``     — the nine-term closed form in the q-parametrization.
 
-``combine2_bruteforce`` is the same permutation channel at n = 2.  The
-closed form and the binary mix also run on (..., d, d) stacks, of which
-the single-state entry points are batches of one.
+``combine2_bruteforce`` is the same permutation channel at n = 2.  The closed form and the binary
+mix also run on (..., d, d) stacks, of which the single-state entry points are batches of one.
+The closed form takes Hermitian inputs and forms six matrix products, the mirrored terms being
+their adjoints, so exactly Hermitian inputs give exactly Hermitian outputs.
 
 The q-triple (sum |q_i|^2 = 1, sum q_i = 1), its polar (p, delta) form,
 and nested two-level binary expressions are interconvertible here, with
@@ -393,7 +394,9 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
     its nested special case.  Each row of ``q`` is checked as a q-triple;
     the (..., d, d) outputs are returned unvalidated (see
     ``states.density_spectra``).  The q products are spelled out in real
-    arithmetic, so a row does not depend on the others in its stack.
+    arithmetic, so a row does not depend on the others in its stack.  The inputs are taken to be
+    Hermitian: six matrix products give all twelve terms, the mirrored ones as adjoints (rho_j
+    rho_i = (rho_i rho_j)^dag), and exactly Hermitian inputs give exactly Hermitian outputs.
     """
     q = _closed_rows(q)[..., None, None]
     w = np.abs(q) ** 2
@@ -402,12 +405,13 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
                      for i, j in ((0, 1), (1, 2), (2, 0)))
     s12, s23, s31 = (im[..., i, :, :] * re[..., j, :, :] - re[..., i, :, :] * im[..., j, :, :]
                      for i, j in ((0, 1), (1, 2), (2, 0)))
-    p12, p21, p23, p32, p31, p13 = r1 @ r2, r2 @ r1, r2 @ r3, r3 @ r2, r3 @ r1, r1 @ r3
+    p12, p23, p31 = r1 @ r2, r2 @ r3, r3 @ r1
+    t231, t312, t123 = p23 @ r1, p31 @ r2, p12 @ r3
+    a12, a23, a31, a231, a312, a123 = (np.conj(np.swapaxes(p, -1, -2))
+                                       for p in (p12, p23, p31, t231, t312, t123))
     out = w[..., 0, :, :] * r1 + w[..., 1, :, :] * r2 + w[..., 2, :, :] * r3
-    out = out + s12 * 1j * (p12 - p21) + s23 * 1j * (p23 - p32) + s31 * 1j * (p31 - p13)
-    return out + (x12 * (p23 @ r1 + p13 @ r2)
-                  + x23 * (p31 @ r2 + p21 @ r3)
-                  + x31 * (p12 @ r3 + p32 @ r1))
+    out = out + s12 * 1j * (p12 - a12) + s23 * 1j * (p23 - a23) + s31 * 1j * (p31 - a31)
+    return out + (x12 * (t231 + a231) + x23 * (t312 + a312) + x31 * (t123 + a123))
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ class DensityMatrix:
 
 
 def density_spectra(M) -> np.ndarray:
-    """Ascending eigenvalues of a (..., d, d) stack of density matrices.
+    """Ascending eigenvalues of a (..., d, d) stack of density matrices, closed-form at d = 2.
 
     Raises ValueError unless every matrix is Hermitian within 1e-12, has
     trace within 1e-10 of one and minimum eigenvalue >= -1e-9 (slack for
@@ -123,9 +123,19 @@ def density_spectra(M) -> np.ndarray:
         tr = M.trace(axis1=-2, axis2=-1)
     _require(herm, _HERM_TOL, "not Hermitian (residual {:.3e})")
     _require(abs(tr - 1), _TRACE_TOL, "trace is {:.12g}, not 1", quote=tr)
-    lam = np.linalg.eigvalsh(M)
+    lam = _spectra(M)
     _require(-lam[..., 0], -_PSD_TOL, "negative eigenvalue {:.3e}", quote=lam[..., 0])
     return lam
+
+
+def _spectra(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian (..., d, d) stack, read from the lower triangle."""
+    if M.shape[-1] != 2:
+        return np.linalg.eigvalsh(M)
+    a, b = 0.5 * M[..., 0, 0].real, 0.5 * M[..., 1, 1].real  # halves, so a - b cannot overflow
+    with np.errstate(over="ignore"):  # an |m10| past the float range gives -+inf
+        r = np.hypot(a - b, np.abs(M[..., 1, 0]))
+    return np.stack([a + b - r, a + b + r], axis=-1)
 
 
 def _require(residual, tol, error=None, quote=None) -> bool:
@@ -214,7 +224,7 @@ class EntropyFunctional:
 
     The evaluator maps (..., d) spectra to (...) values, reducing over the
     last axis, so one call serves a whole stack of states.  Calling the
-    functional clamps spectra to [0, 1] first, absorbing eigvalsh rounding.
+    functional clamps spectra to [0, 1] first, absorbing eigenvalue rounding.
 
     ``concave_max_dim`` bounds the dimensions on which concavity is
     promised (and property-tested); None means every dimension.  The
@@ -263,7 +273,7 @@ def get_functional(name: str) -> EntropyFunctional:
 
 def entropy(f: EntropyFunctional, rho: DensityMatrix) -> float:
     """Apply ``f`` to the spectrum of ``rho``."""
-    return float(f(np.linalg.eigvalsh(rho.mat)))
+    return float(f(_spectra(rho.mat)))
 
 
 def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:

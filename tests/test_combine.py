@@ -465,6 +465,31 @@ class TestStackedCore:
         for row, qt in zip(fixed, qs):
             assert_array_equal(row, combine3_closed(*rhos, qt).mat)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_closed_matches_the_twelve_product_form(self, d):
+        # every second- and third-order term multiplied out, none taken as an adjoint
+        _, _, (r1, r2, r3), q = random_stack(d, 90 + d)
+        overlap = (q[:, :, None] * np.conj(q[:, None, :]))[..., None, None]  # q_i conj q_j
+        x, s, w = overlap.real, overlap.imag, np.abs(q[:, :, None, None]) ** 2
+        longhand = (w[:, 0] * r1 + w[:, 1] * r2 + w[:, 2] * r3
+                    + s[:, 0, 1] * 1j * (r1 @ r2 - r2 @ r1)
+                    + s[:, 1, 2] * 1j * (r2 @ r3 - r3 @ r2)
+                    + s[:, 2, 0] * 1j * (r3 @ r1 - r1 @ r3)
+                    + x[:, 0, 1] * (r2 @ r3 @ r1 + r1 @ r3 @ r2)
+                    + x[:, 1, 2] * (r3 @ r1 @ r2 + r2 @ r1 @ r3)
+                    + x[:, 2, 0] * (r1 @ r2 @ r3 + r3 @ r2 @ r1))
+        assert np.abs(combine3_closed_stacked(r1, r2, r3, q) - longhand).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_closed_output_is_exactly_hermitian(self, d):
+        _, qs, mats, q = random_stack(d, 95 + d)
+        mats = (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2  # exactly Hermitian inputs
+        out = combine3_closed_stacked(*mats, q)
+        assert_array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
+        for k, qt in enumerate(qs[:4]):
+            single = combine3_closed(*(DensityMatrix(m[k]) for m in mats), qt).mat
+            assert_array_equal(single, single.conj().T)
+
     def test_closed_checks_every_row(self):
         _, _, mats, q = random_stack(2, 60, n=4)
         q[2] = [0.5, 0.5, 0]

@@ -16,6 +16,7 @@ from qmix.states import (
     random_density,
     tensor,
     _require,
+    _spectra,
 )
 
 from conftest import double_commutator
@@ -80,12 +81,21 @@ class TestDensitySpectra:
         assert lam.shape == (3, 3)
         for row, M in zip(lam, mats):
             assert_array_equal(row, np.linalg.eigvalsh(M))
+        # qubits take the closed form, which agrees with eigvalsh to rounding
+        mats = np.array([r.mat for r in rho_triple(3)])
+        lam = density_spectra(mats)
+        assert lam.shape == (3, 2)
+        for row, M in zip(lam, mats):
+            assert np.abs(row - np.linalg.eigvalsh(M)).max() <= 2e-15
 
     @pytest.mark.parametrize("bad, message", [
         (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
         (np.eye(2), "trace"),
         (np.diag([1.5, -0.5]), "eigenvalue"),
         (np.full((2, 2), np.nan), "Hermitian"),
+        (np.array([[0.5, 0], [np.nan, 0.5]]), "Hermitian"),
+        (np.array([[0.5, np.inf], [np.inf, 0.5]]), "Hermitian"),
+        (np.array([[-np.inf, 0], [0, 0.5]]), "Hermitian"),
     ])
     def test_one_bad_matrix_fails_the_stack(self, bad, message):
         good = np.eye(2) / 2
@@ -96,9 +106,39 @@ class TestDensitySpectra:
         stack = np.array([np.eye(2) / 2, np.diag([1.5, -0.5]), np.diag([1.25, -0.25])])
         with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
             density_spectra(stack)
+        # a small negative eigenvalue off the diagonal fails too
+        V = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+        stack = np.array([np.eye(2) / 2] + [V @ np.diag([1 + e, -e]) @ V.conj().T
+                                            for e in (1e-8, 2e-8)])
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-08"):
+            density_spectra(stack)
 
     def test_empty_stack(self):
         assert density_spectra(np.empty((0, 2, 2), complex)).shape == (0, 2)
+
+    @pytest.mark.parametrize("kind", ["random", "pure", "maximally-mixed", "diagonal",
+                                      "near-degenerate", "tiny-scale",
+                                      "upper-triangle-ignored"])
+    def test_qubit_closed_form_matches_eigvalsh(self, kind):
+        rng = np.random.default_rng(17)
+        mats = {
+            "random": lambda: np.array([random_density(2, seed=rng).mat for _ in range(500)]),
+            "pure": lambda: np.array([random_density(2, rank=1, seed=rng).mat
+                                      for _ in range(500)]),
+            "maximally-mixed": lambda: np.eye(2, dtype=complex)[None] / 2,
+            "diagonal": lambda: np.array([np.diag([p, 1 - p]).astype(complex)
+                                          for p in rng.uniform(size=500)]),
+            "near-degenerate": lambda: np.eye(2) / 2 + np.array([
+                1e-9 * random_density(2, seed=rng).mat for _ in range(500)]),
+            "tiny-scale": lambda: 1e-300 * np.array([random_density(2, seed=rng).mat
+                                                     for _ in range(500)]),
+            # as eigvalsh, only the lower triangle is read
+            "upper-triangle-ignored": lambda: np.array([
+                random_density(2, seed=rng).mat * [[1, 0], [1, 1]] + [[0, 5 + 3j], [0, 0]]
+                for _ in range(500)]),
+        }[kind]()
+        scale = np.abs(mats).max()
+        assert np.abs(_spectra(mats) - np.linalg.eigvalsh(mats)).max() <= 2e-15 * scale
 
 
 class TestRequire:
@@ -277,6 +317,14 @@ class TestEntropies:
         assert abs(entropy(get_functional("renyi-0.5"), rho)
                    - 2 * np.log(np.sqrt(0.75) + np.sqrt(0.25))) < 1e-12
         assert abs(entropy(get_functional("neg-purity"), rho) + 0.625) < 1e-12
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_qubit_entropy_matches_the_eigvalsh_route(self, rank):
+        f = get_functional("von-neumann")
+        rng = np.random.default_rng(19 + rank)
+        for _ in range(500):
+            rho = random_density(2, rank=rank, seed=rng)
+            assert abs(entropy(f, rho) - float(f(np.linalg.eigvalsh(rho.mat)))) <= 1.2e-14
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
