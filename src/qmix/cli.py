@@ -8,9 +8,11 @@ Subcommands::
     qmix epi-scan    --n 2 --functional von-neumann --samples 10000 --d 2
     qmix flat-search --attempts 120 --seed 0
 
-JSON in, JSON/CSV out.  Every report is wrapped as
-``{"format": "qmix/1", "command": ..., "report": {...}, "timing": {...}}``;
-everything outside "timing" is byte-identical across runs with the same
+JSON in, JSON/CSV out.  Each ``_cmd_*`` maps parsed arguments to
+``(report, failure)``; ``main`` alone times the command, wraps the report as
+``{"format": "qmix/1", "command": ..., "report": {...}, "timing": {...}}``,
+writes it (to ``--out`` or stdout) and then turns a failure into exit 4.
+Everything outside "timing" is byte-identical across runs with the same
 arguments and seed.  Exit codes: 0 ok, 2 usage/config error, 3 domain
 constraint violated by the inputs, 4 broken invariant (a bug).
 """
@@ -125,15 +127,6 @@ def _writing(path: str):
         raise CliError(2, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = dumps(doc)
-    if out:
-        with _writing(out) as tmp, open(tmp, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _s3_phases(ph) -> tuple:
     """(phi1, phi2, a, c) from {"phi1": f, "phi2": f, "a": [re, im], "c": [re, im]}."""
     if not isinstance(ph, dict):
@@ -141,11 +134,6 @@ def _s3_phases(ph) -> tuple:
     phi1, phi2 = (float(reals(ph.get(k), (), f"phases {k!r}")) for k in ("phi1", "phi2"))
     a, c = (complex(complexes(ph.get(k), (), f"phases {k!r}")) for k in ("a", "c"))
     return phi1, phi2, a, c
-
-
-def _wrap(command: str, report: dict, elapsed: float) -> dict:
-    return {"format": FORMAT_TAG, "command": command, "report": report,
-            "timing": {"elapsed_s": elapsed}}
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +170,7 @@ def _blocks_from_config(cfg: dict, irreps) -> tuple[np.ndarray, ...]:
     raise CliError(2, "config needs either 'blocks' or 'phases'")
 
 
-def _cmd_synth(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_synth(args) -> tuple[dict, str | None]:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict) or "group" not in cfg:
         raise CliError(2, "config must be a JSON object with a 'group' field")
@@ -201,11 +188,9 @@ def _cmd_synth(args) -> int:
         "regular_unitarity_residual": residual,
         "block_roundtrip_error": roundtrip,
     }
-    _emit(_wrap("synth", report, time.perf_counter() - t0), args.out)
-    if args.verify:
-        _require([residual, roundtrip], [UNITARY_TOL, 1e-9],
-                 lambda v: CliError(4, "synthesized coefficients failed verification"))
-    return 0
+    if args.verify and not _require([residual, roundtrip], [UNITARY_TOL, 1e-9]):
+        return report, "synthesized coefficients failed verification"
+    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +231,7 @@ def _ternary_params(doc: dict) -> tuple[QTriple | None, CoeffVector]:
         return None, z
 
 
-def _cmd_combine(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_combine(args) -> tuple[dict, str | None]:
     states = _states_from_file(args.states)
     params = _load_json(args.params)
     if not isinstance(params, dict):
@@ -297,12 +281,11 @@ def _cmd_combine(args) -> int:
         report["bloch_inputs"] = [list(bloch_vector(s)) for s in states]
     if args.verify:
         mats = np.array([o.mat for o in outs.values()])
-        report["verify"] = {"max_mode_diff": float(np.abs(mats[:, None] - mats[None]).max())}
-    _emit(_wrap("combine", report, time.perf_counter() - t0), args.out)
-    if args.verify:
-        _require(report["verify"]["max_mode_diff"], UNITARY_TOL,
-                 lambda v: CliError(4, f"combination modes disagree by {v:.3e}"))
-    return 0
+        diff = float(np.abs(mats[:, None] - mats[None]).max())
+        report["verify"] = {"max_mode_diff": diff}
+        if not _require(diff, UNITARY_TOL):
+            return report, f"combination modes disagree by {diff:.3e}"
+    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +300,17 @@ def _mub_columns(orbit: np.ndarray) -> dict:
     return dict(zip(("bloch_x", "bloch_y", "bloch_z"), _bloch_rows(out).T))
 
 
-def _cmd_orbit(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_orbit(args) -> tuple[dict, str | None]:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict) or "p" not in cfg:
         raise CliError(2, "orbit config must contain a weight triple 'p'")
     weights = reals(cfg["p"], (3,), "'p'")
-    try:
-        spec, assignment = LinkageSpec.from_weights(weights)
-    except ValueError as exc:
-        raise CliError(2, f"bad weights: {exc}") from exc
+    spec, assignment = LinkageSpec.from_weights(weights)
     try:
         orbits = orbit_trace(spec, args.steps, assignment)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
-    with _writing(args.out) as tmp:
+    with _writing(args.csv) as tmp:
         flagged = write_orbit_csv(orbits, tmp, extra=_mub_columns if args.mub else None)
     report = {
         "weights": weights.tolist(),
@@ -340,11 +319,10 @@ def _cmd_orbit(args) -> int:
         "orbits": len(orbits),
         "rows": sum(len(o) for o in orbits),
         "nested_rows": flagged,
-        "csv": args.out,
+        "csv": args.csv,
         "mub_columns": bool(args.mub),
     }
-    _emit(_wrap("orbit", report, time.perf_counter() - t0), None)
-    return 0
+    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +392,7 @@ def _argmin_sample(n: int, d: int, fname: str, seed: int, index: int) -> tuple[f
     return float(_gaps(n, fname, states, params)[0]), detail
 
 
-def _cmd_epi_scan(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_epi_scan(args) -> tuple[dict, str | None]:
     if args.d not in (2, 3, 4):
         raise CliError(2, "d must be 2, 3, or 4")
     if args.samples < 1:
@@ -441,10 +418,7 @@ def _cmd_epi_scan(args) -> int:
     min_gap = min(p[0] for p in parts)
     argmin = min(p[1] for p in parts if p[0] == min_gap)
     negatives = sum(p[2] for p in parts)
-    # reproducibility guard: the argmin sample must recompute to the same gap
     recomputed, detail = _argmin_sample(args.n, args.d, args.functional, args.seed, argmin)
-    if recomputed != min_gap:
-        raise CliError(4, "argmin sample failed to reproduce from its seed")
     report = {
         "n": args.n,
         "d": args.d,
@@ -458,18 +432,19 @@ def _cmd_epi_scan(args) -> int:
     }
     if args.n == 3 and min_gap < -1e-6:
         report["counterexample"] = detail
-    _emit(_wrap("epi-scan", report, time.perf_counter() - t0), args.out)
-    if args.n == 2 and min_gap < -1e-9:
-        raise CliError(4, f"two-state concavity gap went negative: {min_gap:.3e}")
-    return 0
+    # reproducibility guard: the argmin sample must recompute to the same gap
+    if recomputed != min_gap:
+        return report, "argmin sample failed to reproduce from its seed"
+    if args.n == 2 and not _require(-min_gap, 1e-9):
+        return report, f"two-state concavity gap went negative: {min_gap:.3e}"
+    return report, None
 
 
 # ---------------------------------------------------------------------------
 # flat-search
 
 
-def _cmd_flat_search(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_flat_search(args) -> tuple[dict, str | None]:
     if args.attempts < 1:
         raise CliError(2, "attempts must be positive")
     if args.seed < 0:
@@ -485,8 +460,7 @@ def _cmd_flat_search(args) -> int:
         "modulus_target": target,
         "solutions": sols,
     }
-    _emit(_wrap("flat-search", report, time.perf_counter() - t0), args.out)
-    return 0
+    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="trace the fixed-weight parameter orbit to CSV")
     p.add_argument("--config", required=True, help="JSON with weight triple 'p'")
     p.add_argument("--steps", type=int, default=1200)
-    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--out", required=True, dest="csv", metavar="OUT", help="CSV output path")
     p.add_argument("--mub", action="store_true",
                    help="append Bloch columns for the axis-aligned qubit example")
-    p.set_defaults(func=_cmd_orbit)
+    p.set_defaults(func=_cmd_orbit, out=None)  # the report goes to stdout
 
     p = sub.add_parser("epi-scan", help="Monte-Carlo scan of the concavity gap")
     p.add_argument("--n", type=int, required=True, choices=[2, 3])
@@ -547,7 +521,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        report, failure = args.func(args)
+        text = dumps({"format": FORMAT_TAG, "command": args.command, "report": report,
+                      "timing": {"elapsed_s": time.perf_counter() - t0}})
+        if args.out:
+            with _writing(args.out) as tmp, open(tmp, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if failure:
+            raise CliError(4, failure)
+        return 0
     except CliError as exc:
         print(f"qmix: {exc}", file=sys.stderr)
         return exc.code

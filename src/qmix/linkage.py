@@ -11,7 +11,6 @@ counts components by an independent grid method for cross-checking.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,8 +321,8 @@ def orbit_count_bruteforce(spec: LinkageSpec, resolution: int = 400) -> int:
     return len({find(k) for k in range(idx.size)})
 
 
-def write_orbit_csv(orbits: list[np.ndarray], out, extra=None) -> int:
-    """CSV rows per traced configuration; returns the number flagged nested.
+def write_orbit_csv(orbits: list[np.ndarray], path, extra=None) -> int:
+    """Write CSV rows per traced configuration to ``path``; returns the number flagged nested.
 
     Columns: step, orbit, Re/Im of each bar, the three deltas, and a
     nested flag (1 when some cos delta_ij vanishes, see
@@ -331,16 +330,14 @@ def write_orbit_csv(orbits: list[np.ndarray], out, extra=None) -> int:
     ``orbit_trace`` returns them.  ``extra`` may add columns: it is called
     once per orbit with that orbit's rows and returns a dict from column
     name to an (m,) column.  The first orbit's keys name the columns; with
-    no orbits, the keys ``extra`` returns for a (0, 3) array do.  ``out``
-    is a path or a file-like object.
+    no orbits, the keys ``extra`` returns for a (0, 3) array do.
     """
     orbits = [np.ascontiguousarray(o, dtype=complex) for o in orbits]
     extra = extra if extra is not None else (lambda rows: {})
     columns = [extra(o) for o in orbits] or [extra(np.empty((0, 3), complex))]
     keys = list(columns[0])
-    fh = open(out, "w", newline="") if isinstance(out, (str, bytes, os.PathLike)) else out
     flagged = 0
-    try:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2",
                          "re_q3", "im_q3", "delta12", "delta23", "delta31", "nested"] + keys)
@@ -352,7 +349,4 @@ def write_orbit_csv(orbits: list[np.ndarray], out, extra=None) -> int:
             for step, (row, flag) in enumerate(zip(cells, nested.tolist())):
                 row = row.tolist()  # one row at a time: Python floats, per-row memory
                 writer.writerow([step, orbit_id, *row[:9], int(flag), *row[9:]])
-    finally:
-        if fh is not out:
-            fh.close()
     return flagged

@@ -1,5 +1,4 @@
 import copy
-import io
 import json
 import os
 import shutil
@@ -172,6 +171,15 @@ class TestSynth:
     def test_missing_file(self, tmp_path, capsys):
         rc, _ = run(capsys, "synth", "--config", str(tmp_path / "nope.json"))
         assert rc == 2
+
+    def test_verify_failure_still_emits_the_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_unitarity_residual", lambda U: 1.0)
+        cfg = write_json(tmp_path, "c.json", {"group": "s3", "blocks": IDENTITY_BLOCKS})
+        rc = main(["synth", "--config", cfg, "--verify"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "qmix: synthesized coefficients failed verification\n"
+        assert report_of(json.loads(captured.out))["regular_unitarity_residual"] == 1.0
 
     def test_deterministic_modulo_timing(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"group": "s3", "blocks": IDENTITY_BLOCKS})
@@ -397,19 +405,23 @@ class TestOrbit:
             expect = bloch_vector(combine3_closed(*rhos, q))
             assert tuple(float(v) for v in row[-3:]) == expect
 
-    def test_mub_columns_of_no_rows(self):
+    def test_mub_columns_of_no_rows(self, tmp_path):
         cols = cli._mub_columns(np.empty((0, 3), complex))
         assert list(cols) == ["bloch_x", "bloch_y", "bloch_z"]
         assert all(c.shape == (0,) for c in cols.values())
-        buf = io.StringIO()
-        write_orbit_csv([], buf, extra=cli._mub_columns)
-        assert buf.getvalue().strip().split(",")[-3:] == ["bloch_x", "bloch_y", "bloch_z"]
+        out = tmp_path / "t.csv"
+        write_orbit_csv([], out, extra=cli._mub_columns)
+        assert out.read_text().strip().split(",")[-3:] == ["bloch_x", "bloch_y", "bloch_z"]
 
     def test_bad_weights(self, tmp_path, capsys):
+        # a well-formed triple off the probability simplex is a domain error, as in combine
         cfg = write_json(tmp_path, "c.json", {"p": [0.5, 0.5, 0.5]})
-        rc, _ = run(capsys, "orbit", "--config", cfg, "--out",
-                    str(tmp_path / "t.csv"))
-        assert rc == 2
+        rc = main(["orbit", "--config", cfg, "--out", str(tmp_path / "t.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == "qmix: weights must be a probability triple\n"
+        assert captured.out == ""
+        assert not (tmp_path / "t.csv").exists()
 
     def test_missing_p(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"weights": [1, 0, 0]})
@@ -615,6 +627,21 @@ class TestEpiScan:
         assert rc == 4
         assert report_of(doc)["min_gap"] < -1e-9  # report still emitted
 
+    def test_unreproducible_argmin_still_emits_the_report(self, capsys, monkeypatch):
+        argmin_sample = cli._argmin_sample
+
+        def drifted(*args):
+            gap, detail = argmin_sample(*args)
+            return gap + 1.0, detail
+        monkeypatch.setattr(cli, "_argmin_sample", drifted)
+        rc = main(["epi-scan", "--n", "3", "--samples", "40", "--seed", "2"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "qmix: argmin sample failed to reproduce from its seed\n"
+        rep = report_of(json.loads(captured.out))
+        assert rep["samples"] == 40
+        assert rep["argmin"] == argmin_sample(3, 2, "von-neumann", 2, rep["argmin"]["sample_index"])[1]
+
     def test_rigged_functional_dumps_counterexample(self, capsys, monkeypatch):
         rigged = EntropyFunctional("purity", lambda lam: np.sum(lam ** 2, axis=-1),
                                    concave_max_dim=None)
@@ -695,6 +722,16 @@ def test_report_bytes_repeat_outside_timing(tmp_path, capsys, command):
         assert cut
         runs.append((kept, out.read_text() if command == "orbit" else None))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_envelope_is_built_once_for_every_command(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, *quick_args(tmp_path, command), "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out if command == "orbit" else out.read_text())
+    assert list(doc) == ["format", "command", "report", "timing"]
+    assert doc["format"] == "qmix/1" and doc["command"] == command
+    assert list(doc["timing"]) == ["elapsed_s"] and doc["timing"]["elapsed_s"] >= 0
 
 
 def test_failed_out_write_keeps_old_file(tmp_path, capsys, monkeypatch):

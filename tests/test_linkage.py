@@ -1,4 +1,3 @@
-import io
 import itertools
 
 import numpy as np
@@ -27,6 +26,13 @@ from qmix.linkage import (
 )
 
 UNIFORM = (1 / 3, 1 / 3, 1 / 3)
+
+
+def written_csv(tmp_path, orbits, extra=None) -> tuple[int, list[str]]:
+    """write_orbit_csv's count of nested rows, and the lines of the file it wrote."""
+    path = tmp_path / "trace.csv"
+    flagged = write_orbit_csv(orbits, path, extra=extra)
+    return flagged, path.read_text().splitlines()
 
 
 def uniform_spec():
@@ -311,7 +317,7 @@ NESTED_TRIPLES = [UNIFORM, (0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.01, 0.36, 0.63),
 class TestNestedRows:
     @pytest.mark.parametrize("steps", [120, 1200])
     @pytest.mark.parametrize("p", NESTED_TRIPLES)
-    def test_flagged_rows_are_the_nested_expressions(self, p, steps):
+    def test_flagged_rows_are_the_nested_expressions(self, tmp_path, p, steps):
         # independent oracle: the 12 nested expressions (3 orderings x 2 x 2
         # sign bits) mapped to q-triples through the (p, delta) form
         expected = []
@@ -322,9 +328,8 @@ class TestNestedRows:
                     spec = NestedSpec(ordering, a, a_prime, s, s_prime)
                     expected.append(q_from_pdelta(delta_from_nested(spec, p)).as_array())
         spec, assignment = LinkageSpec.from_weights(p)
-        buf = io.StringIO()
-        flagged = write_orbit_csv(orbit_trace(spec, steps, assignment), buf)
-        rows = [[float(v) for v in ln.split(",")] for ln in buf.getvalue().splitlines()[1:]]
+        flagged, lines = written_csv(tmp_path, orbit_trace(spec, steps, assignment))
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
         got = [np.array(r[2:8:2]) + 1j * np.array(r[3:8:2]) for r in rows if r[11] == 1]
         assert flagged == len(got) == 12
         expected, got = np.array(expected), np.array(got)
@@ -365,31 +370,25 @@ class TestBruteforceCount:
 
 
 class TestCsvExport:
-    def test_header_and_rows(self):
+    def test_header_and_rows(self, tmp_path):
         orbits = orbit_trace(uniform_spec(), steps=120)
-        buf = io.StringIO()
-        write_orbit_csv(orbits, buf)
-        lines = buf.getvalue().splitlines()
+        _, lines = written_csv(tmp_path, orbits)
         header = lines[0].split(",")
         assert header == ["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2",
                           "re_q3", "im_q3", "delta12", "delta23", "delta31",
                           "nested"]
         assert len(lines) == 1 + sum(len(o) for o in orbits)
 
-    def test_step_restarts_per_orbit(self):
+    def test_step_restarts_per_orbit(self, tmp_path):
         spec, _ = LinkageSpec.from_weights((0.01, 0.36, 0.63))
         orbits = orbit_trace(spec, steps=200)
-        buf = io.StringIO()
-        write_orbit_csv(orbits, buf)
-        rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
+        rows = [ln.split(",") for ln in written_csv(tmp_path, orbits)[1][1:]]
         starts = [int(r[0]) for r in rows if r[1] == "1"]
         assert starts[0] == 0
 
-    def test_nested_flags(self):
+    def test_nested_flags(self, tmp_path):
         orbits = orbit_trace(uniform_spec(), steps=1200)
-        buf = io.StringIO()
-        write_orbit_csv(orbits, buf)
-        rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
+        rows = [ln.split(",") for ln in written_csv(tmp_path, orbits)[1][1:]]
         assert sum(int(r[-1]) for r in rows) == 12
 
     def test_path_output(self, tmp_path):
@@ -398,7 +397,7 @@ class TestCsvExport:
         write_orbit_csv(orbits, out)
         assert out.read_text().startswith("step,orbit,")
 
-    def test_extra_called_once_per_orbit(self):
+    def test_extra_called_once_per_orbit(self, tmp_path):
         spec, _ = LinkageSpec.from_weights((0.01, 0.36, 0.63))
         orbits = orbit_trace(spec, steps=60)
         assert len(orbits) == 2
@@ -407,20 +406,19 @@ class TestCsvExport:
         def extra(rows):
             calls.append(rows)
             return {"w1": np.abs(rows[:, 0]) ** 2}
-        write_orbit_csv(orbits, io.StringIO(), extra=extra)
+        written_csv(tmp_path, orbits, extra=extra)
         assert len(calls) == len(orbits)
         for rows, orbit in zip(calls, orbits):
             assert_array_equal(rows, orbit)
 
     @pytest.mark.parametrize("p", [UNIFORM, (0.6, 0.3, 0.1), (0.01, 0.36, 0.63),
                                    (1, 0, 0), (0, 0.5, 0.5), (0.5, 0, 0.5)])
-    def test_cells_read_back_exactly(self, p):
+    def test_cells_read_back_exactly(self, tmp_path, p):
         spec, assignment = LinkageSpec.from_weights(p)
         orbits = orbit_trace(spec, 120, assignment)
         w1 = [np.abs(o[:, 0]) ** 2 for o in orbits]
-        buf = io.StringIO()
-        write_orbit_csv(orbits, buf, extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
-        rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
+        _, lines = written_csv(tmp_path, orbits, extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
+        rows = [ln.split(",") for ln in lines[1:]]
         cfgs = [(i, step, cfg) for i, o in enumerate(orbits) for step, cfg in enumerate(o)]
         assert len(rows) == len(cfgs)
         # a zero weight leaves a zero bar, and so undefined deltas, in every row
@@ -436,18 +434,16 @@ class TestCsvExport:
                 assert row[8:11] == ["nan"] * 3 and row[11] == "0"
             assert float(row[12]) == w1[orbit_id][step]
 
-    def test_extra_columns_without_orbits(self):
-        buf = io.StringIO()
-        write_orbit_csv([], buf, extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
-        assert buf.getvalue().strip().split(",") == [
+    def test_extra_columns_without_orbits(self, tmp_path):
+        _, lines = written_csv(tmp_path, [], extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
+        assert len(lines) == 1
+        assert lines[0].split(",") == [
             "step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2", "re_q3", "im_q3",
             "delta12", "delta23", "delta31", "nested", "w1"]
 
-    def test_extra_columns(self):
+    def test_extra_columns(self, tmp_path):
         orbits = orbit_trace(uniform_spec(), steps=60)
-        buf = io.StringIO()
-        write_orbit_csv(orbits, buf, extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
-        lines = buf.getvalue().splitlines()
+        _, lines = written_csv(tmp_path, orbits, extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
         assert lines[0].endswith(",w1")
         first = lines[1].split(",")
         assert abs(float(first[-1]) - 1 / 3) < 1e-6
