@@ -418,20 +418,22 @@ def _cmd_epi_scan(args) -> tuple[dict, str | None]:
     min_gap = min(p[0] for p in parts)
     argmin = min(p[1] for p in parts if p[0] == min_gap)
     negatives = sum(p[2] for p in parts)
-    recomputed, detail = _argmin_sample(args.n, args.d, args.functional, args.seed, argmin)
+    recomputed, detail = _argmin_sample(*spec[:4], argmin) if argmin >= 0 else (None, None)
     report = {
         "n": args.n,
         "d": args.d,
         "functional": args.functional,
         "samples": args.samples,
         "seed": args.seed,
-        "min_gap": float(min_gap),
+        "min_gap": float(min_gap) if detail else None,
         "negative_samples": int(negatives),
         "argmin": detail,
         "asserted": args.n == 2,
     }
     if args.n == 3 and min_gap < -1e-6:
         report["counterexample"] = detail
+    if detail is None:  # every gap was NaN
+        return report, "no sample gave a finite concavity gap"
     # reproducibility guard: the argmin sample must recompute to the same gap
     if recomputed != min_gap:
         return report, "argmin sample failed to reproduce from its seed"

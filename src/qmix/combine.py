@@ -13,8 +13,8 @@ the tests:
 
 ``combine2_bruteforce`` is the same permutation channel at n = 2.  The closed form and the binary
 mix also run on (..., d, d) stacks, of which the single-state entry points are batches of one.
-The closed form takes Hermitian inputs and forms six matrix products, the mirrored terms being
-their adjoints, so exactly Hermitian inputs give exactly Hermitian outputs.
+Both take Hermitian inputs and form six matrix products (the binary mix one), the mirrored terms
+being their adjoints, so exactly Hermitian inputs give exactly Hermitian outputs.
 
 The q-triple (sum |q_i|^2 = 1, sum q_i = 1), its polar (p, delta) form,
 and nested two-level binary expressions are interconvertible here, with
@@ -30,7 +30,7 @@ import numpy as np
 from ._serial import complexes, pairs, reals
 from .groups import CoeffVector, FiniteGroup, _is_over, symmetric_group
 from .irreps import _S3, _S3_IRREPS, _factor_axes, _s3_z_unit, extract_blocks, tensor_rep
-from .states import DensityMatrix, _require, commutator, tensor
+from .states import DensityMatrix, _matmul, _require, tensor
 from .states import partial_trace  # noqa: F401  bench/spans.py wraps it at this binding
 
 __all__ = [
@@ -263,7 +263,8 @@ def combine2(rho1: DensityMatrix, rho2: DensityMatrix, lam: float, sign: int = +
 def combine2_stacked(r1: np.ndarray, r2: np.ndarray, lam, sign) -> np.ndarray:
     """``combine2`` on (..., d, d) state stacks, with (...) lam and sign broadcast against them.
 
-    Returns the (..., d, d) outputs unvalidated (see ``states.density_spectra``).
+    Returns the (..., d, d) outputs unvalidated (see ``states.density_spectra``).  Hermitian
+    inputs are assumed: i[rho2, rho1] = i(p - p^dag) from the one product p = rho2 rho1.
     """
     lam = np.asarray(lam, dtype=float)[..., None, None]
     sign = np.asarray(sign)[..., None, None]
@@ -271,8 +272,9 @@ def combine2_stacked(r1: np.ndarray, r2: np.ndarray, lam, sign) -> np.ndarray:
         raise ValueError("lambda must lie in [0, 1]")
     if not ((sign == 1) | (sign == -1)).all():
         raise ValueError("sign must be +1 or -1")
+    p = _matmul(r2, r1)
     return (lam * r1 + (1 - lam) * r2
-            + sign * np.sqrt(lam * (1 - lam)) * 1j * commutator(r2, r1))
+            + sign * np.sqrt(lam * (1 - lam)) * 1j * (p - np.conj(np.swapaxes(p, -1, -2))))
 
 
 def combine2_bruteforce(rho1: DensityMatrix, rho2: DensityMatrix, lam: float,
@@ -396,7 +398,8 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
     ``states.density_spectra``).  The q products are spelled out in real
     arithmetic, so a row does not depend on the others in its stack.  The inputs are taken to be
     Hermitian: six matrix products give all twelve terms, the mirrored ones as adjoints (rho_j
-    rho_i = (rho_i rho_j)^dag), and exactly Hermitian inputs give exactly Hermitian outputs.
+    rho_i = (rho_i rho_j)^dag), and exactly Hermitian inputs give exactly Hermitian outputs.  The
+    products go through ``states._matmul``, elementwise column sums below d = 4.
     """
     q = _closed_rows(q)[..., None, None]
     w = np.abs(q) ** 2
@@ -405,8 +408,8 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
                      for i, j in ((0, 1), (1, 2), (2, 0)))
     s12, s23, s31 = (im[..., i, :, :] * re[..., j, :, :] - re[..., i, :, :] * im[..., j, :, :]
                      for i, j in ((0, 1), (1, 2), (2, 0)))
-    p12, p23, p31 = r1 @ r2, r2 @ r3, r3 @ r1
-    t231, t312, t123 = p23 @ r1, p31 @ r2, p12 @ r3
+    p12, p23, p31 = _matmul(r1, r2), _matmul(r2, r3), _matmul(r3, r1)
+    t231, t312, t123 = _matmul(p23, r1), _matmul(p31, r2), _matmul(p12, r3)
     a12, a23, a31, a231, a312, a123 = (np.conj(np.swapaxes(p, -1, -2))
                                        for p in (p12, p23, p31, t231, t312, t123))
     out = w[..., 0, :, :] * r1 + w[..., 1, :, :] * r2 + w[..., 2, :, :] * r3

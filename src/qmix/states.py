@@ -21,7 +21,6 @@ __all__ = [
     "get_functional",
     "tensor",
     "partial_trace",
-    "commutator",
     "random_density",
     "density_spectra",
     "entropy",
@@ -112,15 +111,15 @@ class DensityMatrix:
 def density_spectra(M) -> np.ndarray:
     """Ascending eigenvalues of a (..., d, d) stack of density matrices, closed-form at d = 2.
 
-    Raises ValueError unless every matrix is Hermitian within 1e-12, has
-    trace within 1e-10 of one and minimum eigenvalue >= -1e-9 (slack for
-    the numerically rounded outputs of the combination maps).  NaN and
+    Raises ValueError unless every matrix is Hermitian within 1e-12, has trace (an ``einsum``,
+    cheaper than ``ndarray.trace`` on small stacks) within 1e-10 of one and minimum eigenvalue
+    >= -1e-9 (slack for the numerically rounded outputs of the combination maps).  NaN and
     infinite entries fail; the message quotes the first failing matrix.
     """
     M = np.asarray(M, dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail the checks
         herm = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-2, -1))
-        tr = M.trace(axis1=-2, axis2=-1)
+        tr = np.einsum("...ii->...", M)
     _require(herm, _HERM_TOL, "not Hermitian (residual {:.3e})")
     _require(abs(tr - 1), _TRACE_TOL, "trace is {:.12g}, not 1", quote=tr)
     lam = _spectra(M)
@@ -194,13 +193,6 @@ def partial_trace(M, keep: Iterable[int], d: int, n: int) -> np.ndarray:
     return T.reshape(m, m)
 
 
-def commutator(A, B) -> np.ndarray:
-    A, B = _as_matrix(A), _as_matrix(B)
-    if A.shape != B.shape:
-        raise ValueError("dimension mismatch")
-    return A @ B - B @ A
-
-
 def random_density(d: int, rank: int | None = None, seed=None) -> DensityMatrix:
     """Random density matrix G G^dag / Tr(...) with complex Gaussian G of shape d x rank."""
     if rank is None:
@@ -212,10 +204,27 @@ def random_density(d: int, rank: int | None = None, seed=None) -> DensityMatrix:
 
 
 def _gram_states(x: np.ndarray) -> np.ndarray:
-    """G G^dag / Tr(G G^dag) with G = x[..., 0, :, :] + i x[..., 1, :, :]: (..., 2, d, r) to (..., d, d)."""
+    """G G^dag / Tr(G G^dag) with G = x[..., 0, :, :] + i x[..., 1, :, :]: (..., 2, d, r) to (..., d, d).
+
+    Returned as (M + M^dag) / Tr(M + M^dag), M = G G^dag: exactly Hermitian, with a real diagonal.
+    """
     G = x[..., 0, :, :] + 1j * x[..., 1, :, :]
-    M = G @ np.conj(np.swapaxes(G, -1, -2))
-    return M / np.real(np.trace(M, axis1=-2, axis2=-1))[..., None, None]
+    M = _matmul(G, np.conj(np.swapaxes(G, -1, -2)))
+    M = M + np.conj(np.swapaxes(M, -1, -2))
+    return M / np.einsum("...ii->...", M).real[..., None, None]
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B on (..., d, k) and (..., k, d) stacks, below d = 4 as a sum of k elementwise products.
+
+    There numpy's stacked complex ``@`` costs more than its arithmetic.  Row-wise, as ``@`` is.
+    """
+    if A.shape[-2] >= 4:
+        return A @ B
+    out = A[..., :, :1] * B[..., :1, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., :, k:k + 1] * B[..., k:k + 1, :]
+    return out
 
 
 @dataclass(frozen=True)

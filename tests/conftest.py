@@ -1,6 +1,6 @@
 import numpy as np
 
-from qmix.states import DensityMatrix, commutator
+from qmix.states import DensityMatrix, _as_matrix
 
 
 def random_s3_phases(rng: np.random.Generator, balanced: bool = True
@@ -15,6 +15,14 @@ def random_s3_phases(rng: np.random.Generator, balanced: bool = True
     v = rng.normal(size=4)
     v = v / np.linalg.norm(v)
     return phi1, phi2, complex(v[0], v[1]), complex(v[2], v[3])
+
+
+def commutator(A, B) -> np.ndarray:
+    """[A, B]."""
+    A, B = _as_matrix(A), _as_matrix(B)
+    if A.shape != B.shape:
+        raise ValueError("dimension mismatch")
+    return A @ B - B @ A
 
 
 def double_commutator(A, B, C) -> np.ndarray:

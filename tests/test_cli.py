@@ -83,16 +83,16 @@ PINNED_ARGMIN = {
     "seed_path": [5, 255],
     "states": [
         [
-            [[0.4387276544879293, -3.9487487378148386e-18], [0.2711346727832095, 0.32096319278254093]],
-            [[0.2711346727832095, -0.32096319278254093], [0.5612723455120706, 5.874762261409726e-18]],
+            [[0.4387276544879293, 0.0], [0.2711346727832096, 0.32096319278254093]],
+            [[0.2711346727832096, -0.32096319278254093], [0.5612723455120706, 0.0]],
         ],
         [
-            [[0.38325462427465296, -1.2398102809486563e-18], [0.19396197791506847, -0.05863958283793894]],
-            [[0.19396197791506847, 0.05863958283793893], [0.6167453757253469, -3.815531077930238e-18]],
+            [[0.38325462427465296, 0.0], [0.19396197791506847, -0.05863958283793893]],
+            [[0.19396197791506847, 0.05863958283793893], [0.616745375725347, 0.0]],
         ],
         [
-            [[0.38641144791542303, 5.338006993082732e-18], [0.10871992989506367, -0.3552941267330023]],
-            [[0.10871992989506367, 0.3552941267330023], [0.613588552084577, -1.0629392401061353e-17]],
+            [[0.38641144791542303, 0.0], [0.10871992989506367, -0.35529412673300237]],
+            [[0.10871992989506367, 0.35529412673300237], [0.613588552084577, 0.0]],
         ],
     ],
     "q": [[-0.03776308427292303, -0.0863902460606101], [0.9833034826634263, 0.13680989301637306],
@@ -641,6 +641,18 @@ class TestEpiScan:
         rep = report_of(json.loads(captured.out))
         assert rep["samples"] == 40
         assert rep["argmin"] == argmin_sample(3, 2, "von-neumann", 2, rep["argmin"]["sample_index"])[1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_finite_gap_still_emits_the_report(self, capsys, monkeypatch, n):
+        nan = EntropyFunctional("nan", lambda lam: np.full(lam.shape[:-1], np.nan))
+        monkeypatch.setattr(cli, "get_functional", lambda name: nan)
+        rc = main(["epi-scan", "--n", str(n), "--samples", "300", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "qmix: no sample gave a finite concavity gap\n"
+        rep = report_of(json.loads(captured.out))
+        assert (rep["samples"], rep["min_gap"], rep["argmin"]) == (300, None, None)
+        assert rep["negative_samples"] == 0 and "counterexample" not in rep
 
     def test_rigged_functional_dumps_counterexample(self, capsys, monkeypatch):
         rigged = EntropyFunctional("purity", lambda lam: np.sum(lam ** 2, axis=-1),

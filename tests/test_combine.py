@@ -41,7 +41,6 @@ from qmix.irreps import (Irrep, IrrepSet, NonUnitaryBlock, NotBlockDiagonal, blo
 from qmix.groups import CoeffVector, Perm, cyclic_group
 from qmix.states import (
     DensityMatrix,
-    commutator,
     density_spectra,
     entropy,
     get_functional,
@@ -50,7 +49,7 @@ from qmix.states import (
     tensor,
 )
 
-from conftest import covariance_check, random_s3_phases
+from conftest import commutator, covariance_check, random_s3_phases
 
 IR3 = irreps_s3()
 S3 = IR3.group
@@ -502,9 +501,20 @@ class TestStackedCore:
         rng = np.random.default_rng(d)
         lam, sign = rng.uniform(size=32), rng.choice([1, -1], size=32)
         out = combine2_stacked(mats[0], mats[1], lam, sign)
+        assert_array_equal(out, np.conj(np.swapaxes(out, -1, -2)))  # from exactly Hermitian states
         for row, (r1, r2, _), l, s in zip(out, triples, lam, sign):
             assert np.abs(row - combine2_bruteforce(r1, r2, l, s).mat).max() < 1e-10
             assert_array_equal(row, combine2(r1, r2, l, s).mat)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_binary_matches_the_two_product_form(self, d):
+        # the commutator multiplied out, neither product taken as an adjoint
+        _, _, (r1, r2, _), _ = random_stack(d, 85 + d)
+        rng = np.random.default_rng(d)
+        lam, sign = rng.uniform(size=32), rng.choice([1, -1], size=32)
+        l, s = lam[:, None, None], sign[:, None, None]
+        longhand = l * r1 + (1 - l) * r2 + s * np.sqrt(l * (1 - l)) * 1j * (r2 @ r1 - r1 @ r2)
+        assert np.abs(combine2_stacked(r1, r2, lam, sign) - longhand).max() <= 1e-15
 
     def test_binary_lambda_checked(self):
         _, _, mats, _ = random_stack(2, 80, n=3)

@@ -16,6 +16,7 @@ REMOVED = [
     "BlockUnitaries",
     "double_commutator",
     "covariance_check",
+    "commutator",
 ]
 
 

@@ -8,18 +8,19 @@ from qmix.states import (
     ENTROPY_FUNCTIONALS,
     DensityMatrix,
     bloch_vector,
-    commutator,
     density_spectra,
     entropy,
     get_functional,
     partial_trace,
     random_density,
     tensor,
+    _gram_states,
+    _matmul,
     _require,
     _spectra,
 )
 
-from conftest import double_commutator
+from conftest import commutator, double_commutator
 
 S3 = symmetric_group(3)
 
@@ -275,6 +276,39 @@ class TestCommutators:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             commutator(np.eye(2), np.eye(3))
+
+
+class TestSmallStackKernels:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_matmul_matches_matmul_operator_row_by_row(self, d):
+        rng = np.random.default_rng(30 + d)
+        A, B = (rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d)) for _ in range(2))
+        out = _matmul(A, B)
+        assert np.all(np.abs(out - A @ B) <= 1e-15 * (np.abs(A) @ np.abs(B)))
+        for k in range(64):
+            assert_array_equal(_matmul(A[k:k + 1], B[k:k + 1])[0], out[k])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_einsum_trace_matches_ndarray_trace(self, d):
+        # the (samples, 4, d, d) stacks a ternary scan checks: a mix of three drawn states, then them
+        states = _gram_states(np.random.default_rng(40 + d).normal(size=(256, 3, 2, d, d)))
+        mix = 0.5 * states[:, 0] + 0.3 * states[:, 1] + 0.2 * states[:, 2]
+        stack = np.concatenate([mix[:, None], states], axis=1)
+        ein, tr = np.einsum("...ii->...", stack), stack.trace(axis1=-2, axis2=-1)
+        if d < 4:  # from four terms on, einsum adds the diagonal in another order
+            assert_array_equal(ein, tr)
+        assert np.abs(ein - tr).max() <= d * np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_drawn_states_are_exactly_hermitian(self, d):
+        rng = np.random.default_rng(50 + d)
+        for rank in range(1, d + 1):
+            x = rng.normal(size=(256, 3, 2, d, rank))
+            states = _gram_states(x)
+            assert_array_equal(states, np.conj(np.swapaxes(states, -1, -2)))
+            assert not np.diagonal(states, axis1=-2, axis2=-1).imag.any()
+            for k in range(0, 256, 51):
+                assert_array_equal(_gram_states(x[k:k + 1])[0], states[k])
 
 
 class TestRandomDensity:
