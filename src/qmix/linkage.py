@@ -196,14 +196,17 @@ def _nested_configs(spec: LinkageSpec, r: tuple[float, float, float]) -> list[np
 def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarray]:
     """Ordered configurations around each connected component, as (m, 3) bar arrays.
 
-    Walks the crank angle over its feasible range and stitches the two
-    intersection branches into closed loops (they meet where the moving
-    circles are tangent).  Adjacent configurations — including the
-    wraparound pair — differ by less than 2*pi*3/steps in every bar
-    angle; extra points are inserted by bisection where a uniform grid
-    is too coarse.  The nested configurations (some cos(delta_ij) = 0)
-    are solved in closed form and inserted where the loop passes them.
-    Every row is checked against the QTriple constraints in one pass.
+    Bars 2 and 3 close when cos(theta) lies in [lo, hi].  With both sides
+    free the two intersection branches are two full circles; else, if
+    theta = 0 is passable or tangent, one arc [-beta, beta], or otherwise
+    two mirrored arcs [arccos(hi), beta] and its negative, each run out on
+    one branch and back on the other, turning at tangencies.  Bisection adds
+    points where the grid is too coarse, and the nested configurations (some
+    cos(delta_ij) = 0) are solved in closed form and inserted where the loop
+    passes them.  Adjacent rows, the wraparound pair included, must then
+    differ by at most 2*pi*3/steps in every bar angle, else ValueError (a bar
+    too short for the circle intersection to resolve).  Every row is checked
+    against the QTriple constraints in one pass.
     """
     if not 12 <= steps <= _MAX_STEPS:
         raise ValueError(f"steps must be between 12 and {_MAX_STEPS}")
@@ -213,28 +216,19 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
 
     lo = (1.0 + r1 * r1 - (r2 + r3) ** 2) / (2.0 * r1)
     hi = (1.0 + r1 * r1 - (r2 - r3) ** 2) / (2.0 * r1)
-    teps = _TANGENT_TOL
-    upper_free = hi >= 1.0 + teps
-    upper_tangent = abs(hi - 1.0) < teps
-    lower_free = lo <= -1.0 - teps
-    lower_tangent = abs(lo + 1.0) < teps
-    alpha = 0.0 if hi >= 1.0 else float(np.arccos(hi))
     beta = np.pi if lo <= -1.0 else float(np.arccos(lo))
 
     # each loop is crank angles theta with intersection branches; tangency points carry h = 0
-    if upper_free and lower_free:
+    if hi >= 1.0 + _TANGENT_TOL and lo <= -1.0 - _TANGENT_TOL:
         grid = np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False)
         loops = [(grid, np.full(steps, b)) for b in (+1, -1)]
     else:
         half = steps // 2
-        if not (upper_free or upper_tangent) and not (lower_free or lower_tangent):
-            arcs = [np.linspace(alpha, beta, half)]
-            arcs.append(-arcs[0])
-        elif lower_free or lower_tangent:
-            # single loop: one side of the circle is passable, the other binds
-            arcs = [np.linspace(alpha, 2.0 * np.pi - alpha, half)]
-        else:
+        if hi > 1.0 - _TANGENT_TOL:
             arcs = [np.linspace(-beta, beta, half)]
+        else:
+            arcs = [np.linspace(float(np.arccos(hi)), beta, half)]
+            arcs.append(-arcs[0])
         # out along the arc on branch +1 and back on branch -1
         back = np.repeat([+1, -1], [half, half - 2])
         loops = [(np.concatenate([arc, arc[-2:0:-1]]), back) for arc in arcs]
@@ -269,7 +263,12 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
         k, i = np.nonzero((off * span > 0) & (np.abs(off) < np.abs(span))
                           & (edge == nested_branch[:, None]))
         order = np.lexsort((k, np.abs(off[k, i]), i))
-        out.append(_closed_rows(np.insert(cfgs, i[order] + 1, nested[k[order]], axis=0)))
+        cfgs = np.insert(cfgs, i[order] + 1, nested[k[order]], axis=0)
+        angles = np.angle(cfgs)
+        gaps = np.abs(wrap_angle(angles - np.roll(angles, -1, axis=0)))
+        _require(gaps, max_gap, f"orbit trace leaves a bar-angle gap of {{:.3g}} rad, "
+                                f"above the bound 2*pi*3/steps = {max_gap:.3g}")
+        out.append(_closed_rows(cfgs))
     return out
 
 
@@ -295,8 +294,6 @@ def orbit_count_bruteforce(spec: LinkageSpec, resolution: int = 400) -> int:
     cell = (corners.min(axis=0) < 0) & (corners.max(axis=0) > 0)
     cell |= np.abs(corners).min(axis=0) < 1e-12
     idx = np.flatnonzero(cell.ravel())
-    if idx.size == 0:
-        return 0
     pos = {int(v): i for i, v in enumerate(idx)}
     parent = list(range(idx.size))
 

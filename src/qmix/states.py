@@ -294,6 +294,6 @@ def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
 
 
 def _bloch_rows(M: np.ndarray) -> np.ndarray:
-    """(..., 3) Bloch vectors of a (..., 2, 2) stack of qubit matrices."""
-    return np.stack([np.real(np.trace(M @ PAULI[ax], axis1=-2, axis2=-1))
-                     for ax in ("x", "y", "z")], axis=-1)
+    """(..., 3) Bloch vectors Tr(M sigma) of a (..., 2, 2) qubit stack, read off the entries."""
+    m01, m10 = M[..., 0, 1], M[..., 1, 0]
+    return np.stack([(m01 + m10).real, (m10 - m01).imag, (M[..., 0, 0] - M[..., 1, 1]).real], -1)

@@ -423,6 +423,19 @@ class TestOrbit:
         assert captured.out == ""
         assert not (tmp_path / "t.csv").exists()
 
+    def test_unresolvable_tiny_weight_exits_2_without_a_csv(self, tmp_path, capsys):
+        # a bar of 1e-8 is above the zero-bar cutoff, but the circle intersection cannot
+        # resolve it: the trace misses its gap bound, so no CSV is written
+        cfg = write_json(tmp_path, "c.json", {"p": [0.44, 0.56, 1e-16]})
+        out = tmp_path / "t.csv"
+        rc = main(["orbit", "--config", cfg, "--steps", "1200", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("qmix: orbit trace leaves a bar-angle gap of 0.83 rad")
+        assert captured.out == ""
+        assert not out.exists()
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_missing_p(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"weights": [1, 0, 0]})
         rc, _ = run(capsys, "orbit", "--config", cfg, "--out",

@@ -143,6 +143,10 @@ CORPUS = [
                                                     "flat-search")),
     ([], {}, 2),
     (["scan"], {}, 2),
+    # appended after the rest so the numbered ids above keep their numbers: synth configs with
+    # phases that are not an object, and with neither blocks nor phases
+    (*synth({"group": "s3", "phases": 5}), 2),
+    (*synth({"group": "s3"}), 2),
 ]
 
 

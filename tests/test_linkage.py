@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qmix.combine import (
     NestedSpec,
     QTriple,
+    cos_vanishes,
     delta_from_nested,
     nested_params_for_weights,
     pdelta_from_q,
@@ -38,6 +41,23 @@ def written_csv(tmp_path, orbits, extra=None) -> tuple[int, list[str]]:
 def uniform_spec():
     spec, assignment = LinkageSpec.from_weights(UNIFORM)
     return spec
+
+
+def lower_tangent_weights(r1: float) -> tuple[float, float, float]:
+    """Weights (r1^2, r2^2, r3^2) with r2 + r3 = 1 + r1: crank r1's circles touch at theta = pi.
+
+    With the crank in another slot the same lengths make the upper bound tangent at theta = 0.
+    """
+    root = np.sqrt(max((1.0 - 3.0 * r1) * (1.0 + r1), 0.0))
+    r2, r3 = (1.0 + r1 + root) / 2.0, (1.0 + r1 - root) / 2.0
+    return (r1 * r1, r2 * r2, r3 * r3)
+
+
+def largest_gap(loop) -> float:
+    """The largest wrapped bar-angle step between adjacent rows of a loop, wraparound included."""
+    angles = np.angle(loop)
+    diffs = np.diff(np.vstack([angles, angles[:1]]), axis=0)
+    return float(np.abs((diffs + np.pi) % (2 * np.pi) - np.pi).max())
 
 
 class TestCriticalLength:
@@ -228,26 +248,25 @@ class TestOrbitTrace:
     def test_angle_gaps_bounded(self):
         steps = 240
         orbits = orbit_trace(uniform_spec(), steps=steps)
-        max_gap = 2 * np.pi * 3 / steps
         for loop in orbits:
-            angles = np.array([[np.angle(z) for z in cfg]
-                               for cfg in loop])
-            wrapped = np.concatenate([angles, angles[:1]], axis=0)
-            diffs = np.diff(wrapped, axis=0)
-            diffs = (diffs + np.pi) % (2 * np.pi) - np.pi
-            assert np.abs(diffs).max() <= max_gap + 1e-9
+            assert largest_gap(loop) <= 2 * np.pi * 3 / steps + 1e-9
 
     def test_angle_gaps_bounded_short_bar(self):
         # the short bar makes the branches meet steeply at the arc ends; the
         # loop must still turn there rather than stall short of the tangency
         spec, assignment = LinkageSpec.from_weights((0.83, 0.15, 0.02))
         for steps in (120, 1200):
-            max_gap = 2 * np.pi * 3 / steps
             for loop in orbit_trace(spec, steps, assignment):
-                angles = np.angle(loop)
-                diffs = np.diff(np.vstack([angles, angles[:1]]), axis=0)
-                diffs = (diffs + np.pi) % (2 * np.pi) - np.pi
-                assert np.abs(diffs).max() <= max_gap + 1e-9
+                assert largest_gap(loop) <= 2 * np.pi * 3 / steps + 1e-9
+
+    @pytest.mark.parametrize("steps", [120, 1200])
+    @pytest.mark.parametrize("r1", [0.02, 0.1, 0.2, 1 / 3])
+    def test_angle_gaps_bounded_at_lower_tangency(self, r1, steps):
+        # the lower bound binds exactly at theta = pi while theta = 0 is free: one arc
+        # [-pi, pi] that turns at the tangency, not a loop that switches branch at theta = 0
+        spec, assignment = LinkageSpec.from_weights(lower_tangent_weights(r1))
+        for loop in orbit_trace(spec, steps, assignment):
+            assert largest_gap(loop) < 2 * np.pi * 3 / steps
 
     def test_two_loop_regime_conjugate_pairs(self):
         spec, _ = LinkageSpec.from_weights((0.01, 0.36, 0.63))
@@ -308,6 +327,25 @@ def test_config_rows_bitwise_match_scalar_calls(p):
         reference = np.array([_scalar_config(r1, r2, r3, t, b) for t, b in pairs])
         assert_array_equal(rows.view(np.uint64), scalar.view(np.uint64))
         assert_array_equal(rows.view(np.uint64), reference.view(np.uint64))
+
+
+INTERIOR_WEIGHTS = st.tuples(*[st.floats(1.0, 499.0)] * 3).map(
+    lambda x: tuple(v / sum(x) for v in x))  # every weight >= 1e-3
+TANGENT_WEIGHTS = st.tuples(st.floats(0.02, 1 / 3), st.permutations(range(3))).map(
+    lambda t: tuple(lower_tangent_weights(t[0])[i] for i in t[1]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(p=st.one_of(INTERIOR_WEIGHTS, TANGENT_WEIGHTS), steps=st.sampled_from([12, 120, 1200]))
+def test_traces_meet_their_gap_bound_and_close(p, steps):
+    spec, assignment = LinkageSpec.from_weights(p)
+    loops = orbit_trace(spec, steps, assignment)
+    for loop in loops:
+        assert largest_gap(loop) < 2 * np.pi * 3 / steps
+        assert np.abs(loop.sum(axis=1) - 1).max() <= 1e-10
+        assert np.abs((np.abs(loop) ** 2).sum(axis=1) - 1).max() <= 1e-10
+    assert sum(int(cos_vanishes(config_deltas(loop)).any(axis=1).sum()) for loop in loops) == 12
+
 
 NESTED_TRIPLES = [UNIFORM, (0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.01, 0.36, 0.63),
                   (0.83, 0.15, 0.02)] + [

@@ -6,6 +6,7 @@ from qmix.groups import Perm, symmetric_group
 from qmix.irreps import tensor_rep
 from qmix.states import (
     ENTROPY_FUNCTIONALS,
+    PAULI,
     DensityMatrix,
     bloch_vector,
     density_spectra,
@@ -14,6 +15,7 @@ from qmix.states import (
     partial_trace,
     random_density,
     tensor,
+    _bloch_rows,
     _gram_states,
     _matmul,
     _require,
@@ -68,6 +70,17 @@ class TestDensityMatrix:
     def test_bloch_needs_qubit(self):
         with pytest.raises(ValueError):
             bloch_vector(DensityMatrix.maximally_mixed(3))
+
+    def test_bloch_rows_bitwise_match_pauli_traces(self):
+        # Gram states nudged by up to one ulp per part, so m01 and conj(m10) differ in the last bit
+        rng = np.random.default_rng(8)
+        M = _gram_states(rng.normal(size=(2000, 2, 2, 2)))
+        parts = M.view(float)
+        parts += np.spacing(np.abs(parts)) * rng.integers(-1, 2, size=parts.shape)
+        traces = np.stack([np.trace(M @ PAULI[ax], axis1=-2, axis2=-1).real for ax in "xyz"],
+                          axis=-1)
+        assert not np.array_equal(M, M.conj().swapaxes(-1, -2))
+        assert_array_equal(_bloch_rows(M).view(np.uint64), traces.view(np.uint64))
 
     def test_json_round_trip(self):
         rho = random_density(3, seed=4)
