@@ -321,23 +321,25 @@ def orbit_count_bruteforce(spec: LinkageSpec, resolution: int = 400) -> int:
 def write_orbit_csv(orbits: list[np.ndarray], path, extra=None) -> int:
     """Write CSV rows per traced configuration to ``path``; returns the number flagged nested.
 
-    Columns: step, orbit, Re/Im of each bar, the three deltas, and a
-    nested flag (1 when some cos delta_ij vanishes, see
-    ``combine.cos_vanishes``).  ``orbits`` are (m, 3) bar arrays as
-    ``orbit_trace`` returns them.  ``extra`` may add columns: it is called
-    once per orbit with that orbit's rows and returns a dict from column
-    name to an (m,) column.  The first orbit's keys name the columns; with
-    no orbits, the keys ``extra`` returns for a (0, 3) array do.
+    Columns: step, orbit, Re/Im of each bar, the three deltas, and a nested
+    flag (1 when some cos delta_ij vanishes, see ``combine.cos_vanishes``).
+    ``orbits`` are (m, 3) bar arrays as ``orbit_trace`` returns them.
+    ``extra`` may add numeric columns: it is called once per orbit with that
+    orbit's rows and returns a dict from column name to an (m,) column.  The
+    first orbit's keys name the columns; with no orbits, the keys ``extra``
+    returns for a (0, 3) array do.  The header goes through ``csv.writer``;
+    each row cell is its ``str`` (a float's ``repr``); lines end in ``\\r\\n``.
     """
     orbits = [np.ascontiguousarray(o, dtype=complex) for o in orbits]
     extra = extra if extra is not None else (lambda rows: {})
     columns = [extra(o) for o in orbits] or [extra(np.empty((0, 3), complex))]
     keys = list(columns[0])
     flagged = 0
+    header = ["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2",
+              "re_q3", "im_q3", "delta12", "delta23", "delta31", "nested"] + keys
+    line = ",".join(["%s"] * len(header)) + "\r\n"  # csv.writer's bytes for numeric cells
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2",
-                         "re_q3", "im_q3", "delta12", "delta23", "delta31", "nested"] + keys)
+        csv.writer(fh).writerow(header)
         for orbit_id, (orbit, cols) in enumerate(zip(orbits, columns)):
             deltas = config_deltas(orbit)
             nested = cos_vanishes(deltas).any(axis=-1)
@@ -345,5 +347,5 @@ def write_orbit_csv(orbits: list[np.ndarray], path, extra=None) -> int:
             cells = np.column_stack([orbit.view(float), deltas] + [cols[k] for k in keys])
             for step, (row, flag) in enumerate(zip(cells, nested.tolist())):
                 row = row.tolist()  # one row at a time: Python floats, per-row memory
-                writer.writerow([step, orbit_id, *row[:9], int(flag), *row[9:]])
+                fh.write(line % (step, orbit_id, *row[:9], int(flag), *row[9:]))
     return flagged

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -471,6 +473,42 @@ class TestCsvExport:
             if np.isnan(expect[6:]).any():
                 assert row[8:11] == ["nan"] * 3 and row[11] == "0"
             assert float(row[12]) == w1[orbit_id][step]
+
+    @pytest.mark.parametrize("p", [UNIFORM, (0.6, 0.3, 0.1), (0.01, 0.36, 0.63), (0, 0.5, 0.5), None])
+    def test_bytes_match_csv_writer(self, tmp_path, p):
+        # the file's bytes, not values read back: "1" vs "1.0", "\r\n" vs "\n" and quoting all show
+        if p is None:
+            orbits = []
+        else:
+            spec, assignment = LinkageSpec.from_weights(p)
+            orbits = orbit_trace(spec, 120, assignment)
+
+        def extra(rows):
+            return {"w,1": np.abs(rows[:, 0]) ** 2, "edge": np.resize([-0.0, 1e-20, -np.inf], len(rows))}
+        path = tmp_path / "trace.csv"
+        flagged = write_orbit_csv(orbits, path, extra=extra)
+
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["step", "orbit", "re_q1", "im_q1", "re_q2", "im_q2", "re_q3", "im_q3",
+                         "delta12", "delta23", "delta31", "nested", "w,1", "edge"])
+        nested_rows = 0
+        for orbit_id, orbit in enumerate(orbits):
+            cols = extra(orbit)
+            for step, cfg in enumerate(orbit):
+                deltas = config_deltas(cfg)
+                flag = bool(cos_vanishes(deltas).any())
+                nested_rows += flag
+                writer.writerow([step, orbit_id, *(float(v) for c in cfg for v in (c.real, c.imag)),
+                                 *(float(d) for d in deltas), int(flag),
+                                 float(cols["w,1"][step]), float(cols["edge"][step])])
+        written = path.read_bytes()
+        assert written == ref.getvalue().encode()
+        assert flagged == nested_rows
+        assert written.startswith(b'step,orbit,re_q1,im_q1,re_q2,im_q2,re_q3,im_q3,'
+                                  b'delta12,delta23,delta31,nested,"w,1",edge\r\n')
+        edges = [b",-0.0\r\n", b",1e-20\r\n", b",-inf\r\n"][:max(map(len, orbits), default=0)]
+        assert all(cell in written for cell in edges)
 
     def test_extra_columns_without_orbits(self, tmp_path):
         _, lines = written_csv(tmp_path, [], extra=lambda rows: {"w1": np.abs(rows[:, 0]) ** 2})
