@@ -33,6 +33,7 @@ __all__ = [
 
 _TANGENT_TOL = 1e-9
 _ZERO_RADIUS = 1e-12
+_ZERO_BAR = 1e-11  # shorter bars trace as zero: below about 8e-12 a trace can miss its gap bound
 _MAX_STEPS = 1_000_000  # caps memory: orbit_trace at 10^6 steps already peaks near 650 MiB
 
 
@@ -103,39 +104,48 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> lis
     sorted spec order).  Bars 2 and 3 close the chain q2 + q3 = 1 - q1,
     solved as the intersection of two circles; the two generic solutions
     are mirror images about that chord.  Within 1e-9 of a tangency one
-    configuration is returned.  Just past a tangency the circles miss by
-    h^2 = r2^2 - x^2 < 0, and folding bars 2 and 3 onto the chord misses
-    sum |q_i|^2 = 1 by -2 h^2, so that is done only while it stays within
-    the ``_CONSTRAINT_TOL`` QTriple accepts; beyond it there is no configuration.
+    configuration is returned.  There ``_chord_split``'s h^2 is zero only
+    up to rounding, and just past it negative: folding bars 2 and 3 onto the
+    chord misses sum |q_i|^2 = 1 by -2 h^2, so a rounded tangency keeps its
+    configuration while that is within the ``_CONSTRAINT_TOL`` QTriple accepts.
     """
     r1, r2, r3 = _check_assignment(spec, assignment)
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     D = abs(1.0 - r1 * np.exp(1j * theta))
     if D < _ZERO_RADIUS:
-        if r2 < _TANGENT_TOL and r3 < _TANGENT_TOL:
-            return [QTriple(r1 * np.exp(1j * theta), 0j, 0j)]
-        return []
-    x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
-    if r2 * r2 - x * x < -0.5 * _CONSTRAINT_TOL:
+        return [QTriple(r1 * np.exp(1j * theta), 0j, 0j)] if max(r2, r3) < _TANGENT_TOL else []
+    if _chord_split(D, r2, r3)[1] < -0.5 * _CONSTRAINT_TOL:
         return []
     tangent = min(r2 + r3 - D, D - abs(r2 - r3)) < _TANGENT_TOL
     return [QTriple(*_config_at(r1, r2, r3, theta, branch))
             for branch in ((+1,) if tangent else (+1, -1))]
 
 
-def _config_at(r1: float, r2: float, r3: float, theta, branch) -> np.ndarray:
-    """Bars (..., 3) at crank angles theta on branches +-1; clamps h^2 rounding at tangency.
+def _chord_split(D, r2: float, r3: float):
+    """(x, h^2) with q2 = (x + i h) along the chord 1 - q1 of length D, in Kahan's stable form.
 
-    theta and branch broadcast, as scalars or arrays, and a row is bitwise
-    the same either way: D is a hypot, which the array abs is not, and
-    (x + i h) u is spelled out in reals, which the array complex product is not.
+    h^2 = r2^2 - x^2 = (r2 + x)(r3 + r2 - D)(r3 - r2 + D) / (2D); the difference of squares
+    cancels wherever h is small against r2: near a tangency, and all along when a bar is tiny.
+    """
+    x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
+    return x, (r2 + x) * (r3 + r2 - D) * (r3 - r2 + D) / (2.0 * D)
+
+
+def _config_at(r1: float, r2: float, r3: float, theta, branch) -> np.ndarray:
+    """Bars (..., 3) at crank angles theta on branches +-1, from ``_chord_split``'s stable h^2.
+
+    h^2 is clamped at 0, so a tangency that rounding puts just past itself
+    folds bars 2 and 3 onto the chord (see ``solve_configs``).  theta and
+    branch broadcast, as scalars or arrays, and a row is bitwise the same
+    either way: D is a hypot, which the array abs is not, and (x + i h) u is
+    spelled out in reals, which the array complex product is not.
     """
     q1 = r1 * np.exp(1j * theta)
     w = 1.0 - q1
     D = np.hypot(w.real, w.imag)
-    x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
-    h = branch * np.sqrt(np.maximum(r2 * r2 - x * x, 0.0))
+    x, h2 = _chord_split(D, r2, r3)
+    h = branch * np.sqrt(np.maximum(h2, 0.0))
     u = w / D
     q2 = np.stack([x * u.real - h * u.imag, x * u.imag + h * u.real], -1).view(complex)[..., 0]
     return np.stack([q1, q2, w - q2], axis=-1)
@@ -147,31 +157,11 @@ def config_deltas(q) -> np.ndarray:
     return np.where((np.abs(q) < _ZERO_RADIUS).any(-1, keepdims=True), np.nan, _phase_deltas(q))
 
 
-def _degenerate_orbits(r1, r2, r3) -> list[list]:
-    """Point orbits when some bar has zero length, each a list of bar triples."""
-    zero = [r < _ZERO_RADIUS for r in (r1, r2, r3)]
-    if sum(zero) >= 2:
-        # two zero bars force the third to span the ground bar exactly
-        q = [0j, 0j, 0j]
-        q[zero.index(False)] = 1.0 + 0j
-        return [[q]]
-    if zero[0]:
-        spec = LinkageSpec(*np.sort([r1, r2, r3]))
-        return [[c.as_array()] for c in solve_configs(spec, (r1, r2, r3), 0.0)]
-    # zero bar in slot 2 or 3: the remaining pair meets at discrete crank angles
-    other = r3 if zero[1] else r2
-    t = (1.0 + r1 * r1 - other * other) / (2.0 * r1)
-    if abs(t) > 1.0 + 1e-12:
-        return []
-    orbits = []
-    angles = [np.arccos(np.clip(t, -1.0, 1.0))]
-    if angles[0] > 1e-12:
-        angles.append(-angles[0])
-    for th in angles:
-        q1 = r1 * np.exp(1j * th)
-        rest = 1.0 - q1
-        orbits.append([(q1, 0j, rest) if zero[1] else (q1, rest, 0j)])
-    return orbits
+def _crank_end(r1: float, s: float) -> float:
+    """Crank angle in [0, pi] where bars 2 and 3 span s (0 or pi if none), via ``_chord_split``:
+    arccos((1 + r1^2 - s^2) / (2 r1)) would lose sqrt(eps) where that cosine nears +-1."""
+    x, h2 = _chord_split(1.0, r1, s)
+    return float(np.arctan2(np.sqrt(max(0.0, h2)), x))
 
 
 def _nested_configs(spec: LinkageSpec, r: tuple[float, float, float]) -> list[np.ndarray]:
@@ -196,27 +186,33 @@ def _nested_configs(spec: LinkageSpec, r: tuple[float, float, float]) -> list[np
 def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarray]:
     """Ordered configurations around each connected component, as (m, 3) bar arrays.
 
-    Bars 2 and 3 close when cos(theta) lies in [lo, hi].  With both sides
-    free the two intersection branches are two full circles; else, if
-    theta = 0 is passable or tangent, one arc [-beta, beta], or otherwise
-    two mirrored arcs [arccos(hi), beta] and its negative, each run out on
-    one branch and back on the other, turning at tangencies.  Bisection adds
-    points where the grid is too coarse, and the nested configurations (some
-    cos(delta_ij) = 0) are solved in closed form and inserted where the loop
-    passes them.  Adjacent rows, the wraparound pair included, must then
-    differ by at most 2*pi*3/steps in every bar angle, else ValueError (a bar
-    too short for the circle intersection to resolve).  Every row is checked
-    against the QTriple constraints in one pass.
+    Bars 2 and 3 close when cos(theta) lies in [lo, hi], |theta| in
+    [alpha, beta] (``_crank_end``).  With both sides free the two
+    intersection branches are two full circles; else, if theta = 0 is
+    passable or tangent, one arc [-beta, beta], or otherwise two mirrored
+    arcs [alpha, beta] and its negative, each run out on one branch and back
+    on the other, turning at tangencies.  Bisection adds points where the
+    grid is too coarse, and the nested configurations (some cos(delta_ij) = 0)
+    are solved in closed form and inserted where the loop passes them.  With
+    the stable ``_chord_split`` a bar down to ``_ZERO_BAR`` resolves; a
+    shorter one is traced as zero, in point orbits.  Adjacent rows, the
+    wraparound pair included, must differ by at most 2*pi*3/steps in every
+    bar angle, else ValueError.  Every row is checked as a QTriple.
     """
     if not 12 <= steps <= _MAX_STEPS:
         raise ValueError(f"steps must be between 12 and {_MAX_STEPS}")
     r1, r2, r3 = _check_assignment(spec, assignment)
-    if min(r1, r2, r3) < _ZERO_RADIUS:
-        return [_closed_rows(o) for o in _degenerate_orbits(r1, r2, r3)]
+    zero = [r < _ZERO_BAR for r in (r1, r2, r3)]
+    if any(zero):
+        # point orbits, one configuration each at +-theta (once when theta = 0): the crank sits
+        # at theta = 0 if it or two bars are zero, else where the other two bars lie straight
+        theta = _crank_end(r1, r2 + r3) if not zero[0] and sum(zero) == 1 else 0.0
+        return [cfg.as_array()[None] for th in dict.fromkeys((theta, -theta))
+                for cfg in solve_configs(spec, (r1, r2, r3), th)]
 
     lo = (1.0 + r1 * r1 - (r2 + r3) ** 2) / (2.0 * r1)
     hi = (1.0 + r1 * r1 - (r2 - r3) ** 2) / (2.0 * r1)
-    beta = np.pi if lo <= -1.0 else float(np.arccos(lo))
+    beta = _crank_end(r1, r2 + r3)
 
     # each loop is crank angles theta with intersection branches; tangency points carry h = 0
     if hi >= 1.0 + _TANGENT_TOL and lo <= -1.0 - _TANGENT_TOL:
@@ -227,7 +223,7 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
         if hi > 1.0 - _TANGENT_TOL:
             arcs = [np.linspace(-beta, beta, half)]
         else:
-            arcs = [np.linspace(float(np.arccos(hi)), beta, half)]
+            arcs = [np.linspace(_crank_end(r1, abs(r2 - r3)), beta, half)]
             arcs.append(-arcs[0])
         # out along the arc on branch +1 and back on branch -1
         back = np.repeat([+1, -1], [half, half - 2])

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import qmix
 import qmix.cli as cli
+import qmix.linkage as linkage
 from qmix._serial import pairs
 from qmix.cli import main
 from qmix.combine import _balanced_q_rows, combine2, combine3_closed, random_qtriple
@@ -423,15 +424,37 @@ class TestOrbit:
         assert captured.out == ""
         assert not (tmp_path / "t.csv").exists()
 
-    def test_unresolvable_tiny_weight_exits_2_without_a_csv(self, tmp_path, capsys):
-        # a bar of 1e-8 is above the zero-bar cutoff, but the circle intersection cannot
-        # resolve it: the trace misses its gap bound, so no CSV is written
+    def test_tiny_weight_traces_and_closes(self, tmp_path, capsys):
+        # a bar of 1e-8, far above the zero-bar cutoff: the stable circle intersection resolves it
         cfg = write_json(tmp_path, "c.json", {"p": [0.44, 0.56, 1e-16]})
+        out = tmp_path / "t.csv"
+        rc, doc = run(capsys, "orbit", "--config", cfg, "--steps", "1200", "--out", str(out))
+        assert rc == 0
+        rows = np.array([[float(v) for v in line.split(",")[2:8]]
+                         for line in out.read_text().splitlines()[1:]])
+        assert len(rows) == report_of(doc)["rows"] > 0
+        q = rows[:, 0::2] + 1j * rows[:, 1::2]
+        assert np.abs(q.sum(axis=1) - 1).max() <= 1e-10
+        assert np.abs((np.abs(q) ** 2).sum(axis=1) - 1).max() <= 1e-10
+        assert np.abs(np.abs(q) ** 2 - [0.44, 0.56, 1e-16]).max() <= 1e-10
+
+    def test_unmet_gap_bound_exits_2_without_a_csv(self, tmp_path, capsys, monkeypatch):
+        # a circle intersection that mirrors its first row leaves a jump no bisection closes
+        config_at = linkage._config_at
+
+        def jumping(*args):
+            rows = config_at(*args)
+            if rows.ndim == 2:
+                rows[0] = rows[0].conj()
+            return rows
+
+        monkeypatch.setattr(linkage, "_config_at", jumping)
+        cfg = write_json(tmp_path, "c.json", {"p": [1 / 3, 1 / 3, 1 / 3]})
         out = tmp_path / "t.csv"
         rc = main(["orbit", "--config", cfg, "--steps", "1200", "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err.startswith("qmix: orbit trace leaves a bar-angle gap of 0.83 rad")
+        assert captured.err.startswith("qmix: orbit trace leaves a bar-angle gap of ")
         assert captured.out == ""
         assert not out.exists()
         assert os.listdir(tmp_path) == ["c.json"]

@@ -147,6 +147,10 @@ CORPUS = [
     # phases that are not an object, and with neither blocks nor phases
     (*synth({"group": "s3", "phases": 5}), 2),
     (*synth({"group": "s3"}), 2),
+    # orbit at a tiny weight: a 1e-8 bar traced in full, and a 1e-12 bar below the zero-bar
+    # cutoff, traced as point orbits
+    (*orbit([0.44, 0.56, 1e-16]), 0),
+    (*orbit([0.5, 0.5, 1e-24]), 0),
 ]
 
 

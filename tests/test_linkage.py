@@ -55,6 +55,12 @@ def lower_tangent_weights(r1: float) -> tuple[float, float, float]:
     return (r1 * r1, r2 * r2, r3 * r3)
 
 
+def tangency_angles(r1: float, r2: float, r3: float) -> list[float]:
+    """The crank angles, both signs, where bars 2 and 3 lie straight or folded: arccos of lo and hi."""
+    ends = [(1 + r1 * r1 - s * s) / (2 * r1) for s in (r2 + r3, r2 - r3)]
+    return [t for c in ends if abs(c) <= 1 for t in (np.arccos(c), -np.arccos(c))]
+
+
 def largest_gap(loop) -> float:
     """The largest wrapped bar-angle step between adjacent rows of a loop, wraparound included."""
     angles = np.angle(loop)
@@ -191,16 +197,30 @@ class TestSolveConfigs:
         offsets = np.concatenate([np.linspace(-1e-8, 1e-8, 41), [-1e-9, -5e-10, 5e-10, 1e-9]])
         closed = 0
         for r in itertools.permutations(spec.lengths()):
-            r1, r2, r3 = r
-            ends = [(1 + r1 * r1 - s * s) / (2 * r1) for s in (r2 + r3, r2 - r3)]
-            for t in (np.arccos(c) for c in ends if abs(c) <= 1):
-                for theta in np.concatenate([t + offsets, -t + offsets]):
+            for t in tangency_angles(*r):
+                for theta in t + offsets:
                     for cfg in solve_configs(spec, r, theta):
                         qa = cfg.as_array()
                         assert abs(qa.sum() - 1) <= 1e-10
                         assert np.abs(np.abs(qa) ** 2 - np.square(r)).max() <= 1e-10
                         closed += 1
         assert closed > 0
+
+    @pytest.mark.parametrize("weights", [
+        [tuple(float(v) for v in w) for w in np.random.default_rng(7).dirichlet([1, 1, 1], 200)],
+        [lower_tangent_weights(r1) for r1 in np.linspace(0.02, 1 / 3, 40)]],
+        ids=["interior", "lower-tangent"])
+    def test_computed_tangency_keeps_its_configuration(self, weights):
+        # at a tangency angle computed in floating point h^2 may round just below 0; the fold
+        # onto the chord keeps the one configuration there instead of finding none
+        solved = 0
+        for p in weights:
+            spec, _ = LinkageSpec.from_weights(p)
+            for r in itertools.permutations(spec.lengths()):
+                for theta in tangency_angles(*r):
+                    assert len(solve_configs(spec, r, theta)) == 1
+                    solved += 1
+        assert solved >= len(weights)
 
     @pytest.mark.parametrize("solve", [lambda spec, r: solve_configs(spec, r, 0.0),
                                        lambda spec, r: orbit_trace(spec, 60, r)],
@@ -306,7 +326,8 @@ def _scalar_config(r1, r2, r3, theta, branch):
     w = 1.0 - q1
     D = abs(w)
     x = (D * D + r2 * r2 - r3 * r3) / (2.0 * D)
-    q2 = (x + 1j * branch * np.sqrt(max(r2 * r2 - x * x, 0.0))) * (w / D)
+    h2 = (r2 + x) * (r3 + r2 - D) * (r3 - r2 + D) / (2.0 * D)  # r2^2 - x^2 without cancellation
+    q2 = (x + 1j * branch * np.sqrt(max(h2, 0.0))) * (w / D)
     return [q1, q2, w - q2]
 
 
@@ -316,8 +337,7 @@ def test_config_rows_bitwise_match_scalar_calls(p):
     # crank angles and branches of a traced loop, plus the exact tangency angles
     spec, r = LinkageSpec.from_weights(p)
     r1, r2, r3 = r
-    ends = [(1 + r1 * r1 - s * s) / (2 * r1) for s in (r2 + r3, r2 - r3)]
-    tangent = [t for c in ends if abs(c) <= 1 for t in (np.arccos(c), -np.arccos(c))]
+    tangent = tangency_angles(r1, r2, r3)
     for loop in orbit_trace(spec, 1200, r):
         w = 1.0 - loop[:, 0]
         traced = np.where(loop[:, 1].imag * w.real >= loop[:, 1].real * w.imag, 1, -1)
@@ -347,6 +367,32 @@ def test_traces_meet_their_gap_bound_and_close(p, steps):
         assert np.abs(loop.sum(axis=1) - 1).max() <= 1e-10
         assert np.abs((np.abs(loop) ** 2).sum(axis=1) - 1).max() <= 1e-10
     assert sum(int(cos_vanishes(config_deltas(loop)).any(axis=1).sum()) for loop in loops) == 12
+
+
+def tiny_weights(exponent: float, split: float, order) -> tuple[float, float, float]:
+    """Weight 10^exponent, the rest shared as (split, 1 - split), put in slot order ``order``."""
+    eps = 10.0 ** exponent
+    base = (split * (1 - eps), (1 - split) * (1 - eps), eps)
+    return tuple(base[i] for i in order)
+
+
+TINY_WEIGHTS = st.builds(tiny_weights, st.floats(-22.0, -4.0), st.floats(1e-3, 1 - 1e-3),
+                         st.permutations(range(3)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(p=TINY_WEIGHTS, steps=st.sampled_from([12, 120, 1200]))
+def test_tiny_weight_traces_meet_their_gap_bound_and_close(p, steps):
+    # one weight log-uniform in [1e-22, 1e-4]: its bar, 1e-11 to 1e-2, resolves down to the zero-bar
+    # cutoff.  Nested rows are not counted: below a weight of about 1e-8, |cos delta| on most rows
+    # falls under cos_vanishes' 1e-9
+    spec, assignment = LinkageSpec.from_weights(p)
+    loops = orbit_trace(spec, steps, assignment)
+    assert len(loops) == orbit_count(spec)
+    for loop in loops:
+        assert largest_gap(loop) < 2 * np.pi * 3 / steps
+        assert np.abs(loop.sum(axis=1) - 1).max() <= 1e-10
+        assert np.abs((np.abs(loop) ** 2).sum(axis=1) - 1).max() <= 1e-10
 
 
 NESTED_TRIPLES = [UNIFORM, (0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.01, 0.36, 0.63),
