@@ -49,7 +49,7 @@ for b in (0.45, 0.55):
     two_piece_spec, _ = LinkageSpec.from_weights((a2, b * b, c * c))
     n = orbit_count(two_piece_spec)
     g = grashof(*sorted((np.sqrt(a2), b, c)), 1.0)
-    n_brute = orbit_count_bruteforce(two_piece_spec, resolution=400)
+    n_brute = orbit_count_bruteforce(two_piece_spec)
     print(f"  b = {b}: {n} component(s)  [rotatable: {g}, brute force: {n_brute}]")
 
 # --- exporting a trace ----------------------------------------------------

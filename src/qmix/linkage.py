@@ -31,10 +31,11 @@ __all__ = [
     "config_deltas",
 ]
 
-_TANGENT_TOL = 1e-9
+_TANGENT_TOL = 1e-9  # a _slack below it is a tangency; orbit_trace scales it by its shortest bar
 _ZERO_RADIUS = 1e-12
 _ZERO_BAR = 1e-11  # shorter bars trace as zero: below about 8e-12 a trace can miss its gap bound
 _MAX_STEPS = 1_000_000  # caps memory: orbit_trace at 10^6 steps already peaks near 650 MiB
+_BRUTE_GRID = 400  # orbit_count_bruteforce's cells per torus side
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ def grashof(a: float, b: float, c: float, d: float) -> bool:
 
 
 def orbit_count(spec: LinkageSpec) -> int:
-    """1 or 2 connected components of the configuration space."""
-    return 2 if spec.b > b0(spec.c) else 1
+    """1 or 2 connected components of the configuration space: 2 when ``grashof`` holds."""
+    return 2 if grashof(*spec.lengths(), 1.0) else 1
 
 
 def _check_assignment(spec: LinkageSpec, assignment) -> tuple[float, float, float]:
@@ -103,11 +104,12 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> lis
     ``assignment`` gives the bar lengths in slot order (defaults to the
     sorted spec order).  Bars 2 and 3 close the chain q2 + q3 = 1 - q1,
     solved as the intersection of two circles; the two generic solutions
-    are mirror images about that chord.  Within 1e-9 of a tangency one
-    configuration is returned.  There ``_chord_split``'s h^2 is zero only
-    up to rounding, and just past it negative: folding bars 2 and 3 onto the
-    chord misses sum |q_i|^2 = 1 by -2 h^2, so a rounded tangency keeps its
-    configuration while that is within the ``_CONSTRAINT_TOL`` QTriple accepts.
+    are mirror images about that chord.  Where ``_slack`` is below ``_TANGENT_TOL``,
+    the tolerance ``orbit_trace`` scales to its shortest bar, one configuration is returned.
+    There ``_chord_split``'s h^2 is zero only up to rounding, and just past it
+    negative: folding bars 2 and 3 onto the chord misses sum |q_i|^2 = 1 by -2 h^2,
+    so a rounded tangency keeps its configuration while that is within the
+    ``_CONSTRAINT_TOL`` QTriple accepts.
     """
     r1, r2, r3 = _check_assignment(spec, assignment)
     if not np.isfinite(theta):
@@ -117,9 +119,13 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> lis
         return [QTriple(r1 * np.exp(1j * theta), 0j, 0j)] if max(r2, r3) < _TANGENT_TOL else []
     if _chord_split(D, r2, r3)[1] < -0.5 * _CONSTRAINT_TOL:
         return []
-    tangent = min(r2 + r3 - D, D - abs(r2 - r3)) < _TANGENT_TOL
     return [QTriple(*_config_at(r1, r2, r3, theta, branch))
-            for branch in ((+1,) if tangent else (+1, -1))]
+            for branch in ((+1,) if _slack(D, r2, r3) < _TANGENT_TOL else (+1, -1))]
+
+
+def _slack(D: float, r2: float, r3: float) -> float:
+    """Length by which bars 2 and 3 clear tangency over a chord D (< 0: they cannot span it)."""
+    return min(r2 + r3 - D, D - abs(r2 - r3))
 
 
 def _chord_split(D, r2: float, r3: float):
@@ -186,18 +192,18 @@ def _nested_configs(spec: LinkageSpec, r: tuple[float, float, float]) -> list[np
 def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarray]:
     """Ordered configurations around each connected component, as (m, 3) bar arrays.
 
-    Bars 2 and 3 close when cos(theta) lies in [lo, hi], |theta| in
-    [alpha, beta] (``_crank_end``).  With both sides free the two
-    intersection branches are two full circles; else, if theta = 0 is
-    passable or tangent, one arc [-beta, beta], or otherwise two mirrored
-    arcs [alpha, beta] and its negative, each run out on one branch and back
-    on the other, turning at tangencies.  Bisection adds points where the
-    grid is too coarse, and the nested configurations (some cos(delta_ij) = 0)
-    are solved in closed form and inserted where the loop passes them.  With
-    the stable ``_chord_split`` a bar down to ``_ZERO_BAR`` resolves; a
-    shorter one is traced as zero, in point orbits.  Adjacent rows, the
-    wraparound pair included, must differ by at most 2*pi*3/steps in every
-    bar angle, else ValueError.  Every row is checked as a QTriple.
+    Bars 2 and 3 close for |theta| in [alpha, beta] (``_crank_end``).  The loops
+    follow from ``_slack`` over both chords 1 -+ r1 (theta = 0, pi), against tol =
+    ``_TANGENT_TOL`` times the shortest bar: with both at least tol the two
+    intersection branches are two full circles; else, with the slack at theta = 0
+    above -tol, one arc [-beta, beta], or otherwise two mirrored arcs [alpha, beta]
+    and its negative, each run out on one branch and back on the other, turning at
+    tangencies.  Bisection adds points where the grid is too coarse, and the nested
+    configurations (some cos(delta_ij) = 0) are solved in closed form and inserted
+    where the loop passes them.  With the stable ``_chord_split`` a bar down to
+    ``_ZERO_BAR`` resolves; a shorter one is traced as zero, in point orbits.
+    Adjacent rows, the wraparound pair included, must differ by at most 2*pi*3/steps
+    in every bar angle, else ValueError.  Every row is checked as a QTriple.
     """
     if not 12 <= steps <= _MAX_STEPS:
         raise ValueError(f"steps must be between 12 and {_MAX_STEPS}")
@@ -210,17 +216,17 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
         return [cfg.as_array()[None] for th in dict.fromkeys((theta, -theta))
                 for cfg in solve_configs(spec, (r1, r2, r3), th)]
 
-    lo = (1.0 + r1 * r1 - (r2 + r3) ** 2) / (2.0 * r1)
-    hi = (1.0 + r1 * r1 - (r2 - r3) ** 2) / (2.0 * r1)
+    tol = _TANGENT_TOL * min(r1, r2, r3)  # a bare 1e-9 would call bars shorter than it tangent
+    slack_0, slack_pi = _slack(1.0 - r1, r2, r3), _slack(1.0 + r1, r2, r3)
     beta = _crank_end(r1, r2 + r3)
 
     # each loop is crank angles theta with intersection branches; tangency points carry h = 0
-    if hi >= 1.0 + _TANGENT_TOL and lo <= -1.0 - _TANGENT_TOL:
+    if min(slack_0, slack_pi) >= tol:
         grid = np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False)
         loops = [(grid, np.full(steps, b)) for b in (+1, -1)]
     else:
         half = steps // 2
-        if hi > 1.0 - _TANGENT_TOL:
+        if slack_0 > -tol:
             arcs = [np.linspace(-beta, beta, half)]
         else:
             arcs = [np.linspace(_crank_end(r1, abs(r2 - r3)), beta, half)]
@@ -268,19 +274,17 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
     return out
 
 
-def orbit_count_bruteforce(spec: LinkageSpec, resolution: int = 400) -> int:
+def orbit_count_bruteforce(spec: LinkageSpec) -> int:
     """Count components by flood-filling sign-change cells on the angle torus.
 
     The closure defect g(t1, t2) = |1 - a e^{i t1} - b e^{i t2}|^2 - c^2
-    vanishes exactly on the configuration set; cells of a resolution^2
+    vanishes exactly on the configuration set; cells of a ``_BRUTE_GRID``^2
     grid whose corners straddle zero (or sit on it) are glued by
     8-neighbor adjacency with wraparound and counted.  Independent of
     the analytic classification.
     """
-    if resolution < 360:
-        raise ValueError("resolution must be >= 360")
     a, b, c = spec.lengths()
-    t = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, _BRUTE_GRID, endpoint=False)
     w = 1.0 - a * np.exp(1j * t)[:, None] - b * np.exp(1j * t)[None, :]
     g = np.abs(w) ** 2 - c * c
     corners = np.stack([g,
@@ -299,13 +303,11 @@ def orbit_count_bruteforce(spec: LinkageSpec, resolution: int = 400) -> int:
             x = parent[x]
         return x
 
-    n = resolution
+    n = _BRUTE_GRID
     ii, jj = np.unravel_index(idx, (n, n))
     for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
         for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
+            for dj in (-1, 0, 1):  # (0, 0) unites the cell with itself: a no-op
                 neighbor = pos.get(((i + di) % n) * n + ((j + dj) % n))
                 if neighbor is not None:
                     ra, rb = find(k), find(neighbor)

@@ -202,7 +202,7 @@ def test_07_orbit_count_matches_brute_force():
         used += 1
         a2 = max(1.0 - b * b - c * c, 0.0)
         spec, _ = LinkageSpec.from_weights((a2, b * b, c * c))
-        assert orbit_count_bruteforce(spec, resolution=400) == orbit_count(spec)
+        assert orbit_count_bruteforce(spec) == orbit_count(spec)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"orbit counts: {used}/50 grid points agree, {elapsed:.2f}s — PASS")

@@ -151,6 +151,10 @@ CORPUS = [
     # cutoff, traced as point orbits
     (*orbit([0.44, 0.56, 1e-16]), 0),
     (*orbit([0.5, 0.5, 1e-24]), 0),
+    # orbit with two small unequal bars: a crank of exactly 1 (a zero chord at theta = 0, which
+    # the two mirrored arcs stop short of), and a crank just below 1
+    (*orbit([1.0, 1.1227030650458948e-17, 4.1602002640974797e-17], "--steps", "1200"), 0),
+    (*orbit([0.9999999999, 1e-10, 1e-20], "--steps", "1200"), 0),
 ]
 
 
