@@ -6,6 +6,9 @@ bar of length 1 (the sum-one gauge).  This module classifies the
 configuration space (one closed orbit or two), solves configurations at
 a given crank angle by circle intersection, traces whole orbits, and
 counts components by an independent grid method for cross-checking.
+
+A trace cranks the shortest bar, so one ``LinkageSpec`` has one trace, permuted
+into slot order last; ``orbit_count`` counts its loops by the trace's own rule.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ __all__ = [
     "config_deltas",
 ]
 
-_TANGENT_TOL = 1e-9  # a _slack below it is a tangency; orbit_trace scales it by its shortest bar
+_TANGENT_TOL = 1e-9  # a _slack below it is a tangency; _two_loops scales it by the crank a
 _ZERO_RADIUS = 1e-12
-_ZERO_BAR = 1e-11  # shorter bars trace as zero: below about 8e-12 a trace can miss its gap bound
 _MAX_STEPS = 1_000_000  # caps memory: orbit_trace at 10^6 steps already peaks near 650 MiB
 _BRUTE_GRID = 400  # orbit_count_bruteforce's cells per torus side
 
@@ -85,8 +87,15 @@ def grashof(a: float, b: float, c: float, d: float) -> bool:
 
 
 def orbit_count(spec: LinkageSpec) -> int:
-    """1 or 2 connected components of the configuration space: 2 when ``grashof`` holds."""
-    return 2 if grashof(*spec.lengths(), 1.0) else 1
+    """1 or 2 connected components, the loops of ``orbit_trace``: ``grashof`` up to a tolerance."""
+    return 2 if _two_loops(*spec.lengths()) else 1
+
+
+def _two_loops(a: float, b: float, c: float) -> bool:
+    """Whether sorted bars make two loops: crank a passes theta = pi with a ``_slack`` of at least
+    ``_TANGENT_TOL`` times a (a bare 1e-9 would call bars shorter than it tangent), or, when a is
+    0, bars b and c meet 1 at two points, not at the one tangency ``solve_configs`` would see."""
+    return _slack(1.0 + a, b, c) >= _TANGENT_TOL * (a or 1.0)
 
 
 def _check_assignment(spec: LinkageSpec, assignment) -> tuple[float, float, float]:
@@ -104,8 +113,8 @@ def solve_configs(spec: LinkageSpec, assignment=None, theta: float = 0.0) -> lis
     ``assignment`` gives the bar lengths in slot order (defaults to the
     sorted spec order).  Bars 2 and 3 close the chain q2 + q3 = 1 - q1,
     solved as the intersection of two circles; the two generic solutions
-    are mirror images about that chord.  Where ``_slack`` is below ``_TANGENT_TOL``,
-    the tolerance ``orbit_trace`` scales to its shortest bar, one configuration is returned.
+    are mirror images about that chord.  Where ``_slack`` is below ``_TANGENT_TOL``
+    one configuration is returned.
     There ``_chord_split``'s h^2 is zero only up to rounding, and just past it
     negative: folding bars 2 and 3 onto the chord misses sum |q_i|^2 = 1 by -2 h^2,
     so a rounded tangency keeps its configuration while that is within the
@@ -163,20 +172,14 @@ def config_deltas(q) -> np.ndarray:
     return np.where((np.abs(q) < _ZERO_RADIUS).any(-1, keepdims=True), np.nan, _phase_deltas(q))
 
 
-def _crank_end(r1: float, s: float) -> float:
-    """Crank angle in [0, pi] where bars 2 and 3 span s (0 or pi if none), via ``_chord_split``:
-    arccos((1 + r1^2 - s^2) / (2 r1)) would lose sqrt(eps) where that cosine nears +-1."""
-    x, h2 = _chord_split(1.0, r1, s)
-    return float(np.arctan2(np.sqrt(max(0.0, h2)), x))
-
-
-def _nested_configs(spec: LinkageSpec, r: tuple[float, float, float]) -> list[np.ndarray]:
-    """The configurations where some cos(delta_ij) vanishes, in closed form.
+def _nested_configs(spec: LinkageSpec) -> list[np.ndarray]:
+    """The configurations where some cos(delta_ij) vanishes, in closed form, in sorted order.
 
     With sum q = 1 and sum |q|^2 = 1, Re(q_i conj(q_j)) = p_k - Re q_k, so
     cos(delta_ij) = 0 exactly when q_k = sqrt(p_k) e^{+-i arccos sqrt(p_k)};
     the other two bars then close against 1 - q_k.  Generically 12 points.
     """
+    r = spec.lengths()
     out = []
     for k in range(3):
         slots = [k, (k + 1) % 3, (k + 2) % 3]
@@ -192,51 +195,38 @@ def _nested_configs(spec: LinkageSpec, r: tuple[float, float, float]) -> list[np
 def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarray]:
     """Ordered configurations around each connected component, as (m, 3) bar arrays.
 
-    Bars 2 and 3 close for |theta| in [alpha, beta] (``_crank_end``).  The loops
-    follow from ``_slack`` over both chords 1 -+ r1 (theta = 0, pi), against tol =
-    ``_TANGENT_TOL`` times the shortest bar: with both at least tol the two
-    intersection branches are two full circles; else, with the slack at theta = 0
-    above -tol, one arc [-beta, beta], or otherwise two mirrored arcs [alpha, beta]
-    and its negative, each run out on one branch and back on the other, turning at
-    tangencies.  Bisection adds points where the grid is too coarse, and the nested
-    configurations (some cos(delta_ij) = 0) are solved in closed form and inserted
-    where the loop passes them.  With the stable ``_chord_split`` a bar down to
-    ``_ZERO_BAR`` resolves; a shorter one is traced as zero, in point orbits.
-    Adjacent rows, the wraparound pair included, must differ by at most 2*pi*3/steps
-    in every bar angle, else ValueError.  Every row is checked as a QTriple.
+    The crank is the shortest bar a; bars b <= c close the chain for |theta| <= beta,
+    and theta = 0 is always passable, as a + b + c >= 1.  ``_two_loops`` picks two full
+    circles, one per intersection branch, or one arc [-beta, beta], out on branch +1 and
+    back on -1, turning at tangencies; a zero crank gives point orbits, one per branch.
+    Bisection adds points where the grid is too coarse, and the nested configurations
+    (some cos(delta_ij) = 0) are solved in closed form and inserted where the loop passes
+    them.  The trace depends on ``spec`` alone: its columns are permuted into the slot
+    order of ``assignment`` last.  Adjacent rows, the wraparound pair included, must
+    differ by at most 2*pi*3/steps in every bar angle, else ValueError.  Every row is
+    checked as a QTriple.
     """
     if not 12 <= steps <= _MAX_STEPS:
         raise ValueError(f"steps must be between 12 and {_MAX_STEPS}")
-    r1, r2, r3 = _check_assignment(spec, assignment)
-    zero = [r < _ZERO_BAR for r in (r1, r2, r3)]
-    if any(zero):
-        # point orbits, one configuration each at +-theta (once when theta = 0): the crank sits
-        # at theta = 0 if it or two bars are zero, else where the other two bars lie straight
-        theta = _crank_end(r1, r2 + r3) if not zero[0] and sum(zero) == 1 else 0.0
-        return [cfg.as_array()[None] for th in dict.fromkeys((theta, -theta))
-                for cfg in solve_configs(spec, (r1, r2, r3), th)]
-
-    tol = _TANGENT_TOL * min(r1, r2, r3)  # a bare 1e-9 would call bars shorter than it tangent
-    slack_0, slack_pi = _slack(1.0 - r1, r2, r3), _slack(1.0 + r1, r2, r3)
-    beta = _crank_end(r1, r2 + r3)
+    # slot i of the assignment holds sorted column cols[i]; a stable sort keeps tied bars in order
+    cols = np.argsort(np.argsort(_check_assignment(spec, assignment), kind="stable"))
+    a, b, c = spec.lengths()
+    branches = (+1, -1) if _two_loops(a, b, c) else (+1,)
+    if a == 0:  # point orbits: q1 = 0, and bars b and c meet 1 on each branch
+        return [np.take(_closed_rows(_config_at(0.0, b, c, 0.0, s)), cols)[None] for s in branches]
 
     # each loop is crank angles theta with intersection branches; tangency points carry h = 0
-    if min(slack_0, slack_pi) >= tol:
+    if len(branches) == 2:
         grid = np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False)
-        loops = [(grid, np.full(steps, b)) for b in (+1, -1)]
-    else:
-        half = steps // 2
-        if slack_0 > -tol:
-            arcs = [np.linspace(-beta, beta, half)]
-        else:
-            arcs = [np.linspace(_crank_end(r1, abs(r2 - r3)), beta, half)]
-            arcs.append(-arcs[0])
-        # out along the arc on branch +1 and back on branch -1
-        back = np.repeat([+1, -1], [half, half - 2])
-        loops = [(np.concatenate([arc, arc[-2:0:-1]]), back) for arc in arcs]
+        loops = [(grid, np.full(steps, s)) for s in branches]
+    else:  # one arc out to beta, where bars b and c lie straight (an arccos loses sqrt(eps) there)
+        x, h2 = _chord_split(1.0, a, b + c)
+        half, beta = steps // 2, np.arctan2(np.sqrt(max(0.0, h2)), x)
+        arc = np.linspace(-beta, beta, half)
+        loops = [(np.concatenate([arc, arc[-2:0:-1]]), np.repeat([+1, -1], [half, half - 2]))]
 
     # each nested configuration with its crank angle and its branch, the sign of Im(q2 conj(w))
-    nested = np.reshape(_nested_configs(spec, (r1, r2, r3)), (-1, 3))
+    nested = np.reshape(_nested_configs(spec), (-1, 3))
     w = 1.0 - nested[:, 0]
     nested_theta = np.angle(nested[:, 0])
     nested_branch = np.where(nested[:, 1].imag * w.real >= nested[:, 1].real * w.imag, +1, -1)
@@ -244,20 +234,19 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
     out: list[np.ndarray] = []
     for theta, branch in loops:
         # bisect until every adjacent pair, wraparound included, respects the bar-angle bound
-        cfgs = _config_at(r1, r2, r3, theta, branch)
+        cfgs = _config_at(a, b, c, theta, branch)
         for _ in range(40):
             angles = np.angle(cfgs)
             gaps = np.abs(wrap_angle(angles - np.roll(angles, -1, axis=0))).max(axis=1)
             wide = np.flatnonzero(gaps >= max_gap)
             if wide.size == 0:
                 break
-            # Each loop runs an arc on branch +1 and back on branch -1, switching
-            # only at the arc ends.  Those are tangencies, where both branches
+            # An arc switches branch only at its ends, tangencies where both branches
             # meet, so every edge that switches branch lies on branch -1.
             edge = np.where(branch == np.roll(branch, -1), branch, -1)
             theta = np.insert(theta, wide + 1, (theta + np.roll(theta, -1))[wide] / 2.0)
             branch = np.insert(branch, wide + 1, edge[wide])
-            cfgs = _config_at(r1, r2, r3, theta, branch)
+            cfgs = _config_at(a, b, c, theta, branch)
         # an edge holds a nested point when its crank interval and its branch do
         edge = np.where(branch == np.roll(branch, -1), branch, -1)
         span = wrap_angle(np.roll(theta, -1) - theta)
@@ -270,7 +259,7 @@ def orbit_trace(spec: LinkageSpec, steps: int, assignment=None) -> list[np.ndarr
         gaps = np.abs(wrap_angle(angles - np.roll(angles, -1, axis=0)))
         _require(gaps, max_gap, f"orbit trace leaves a bar-angle gap of {{:.3g}} rad, "
                                 f"above the bound 2*pi*3/steps = {max_gap:.3g}")
-        out.append(_closed_rows(cfgs))
+        out.append(np.take(_closed_rows(cfgs), cols, axis=1))
     return out
 
 

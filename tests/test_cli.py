@@ -5,6 +5,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,7 +426,7 @@ class TestOrbit:
         assert not (tmp_path / "t.csv").exists()
 
     def test_tiny_weight_traces_and_closes(self, tmp_path, capsys):
-        # a bar of 1e-8, far above the zero-bar cutoff: the stable circle intersection resolves it
+        # a bar of 1e-8: the stable circle intersection resolves it
         cfg = write_json(tmp_path, "c.json", {"p": [0.44, 0.56, 1e-16]})
         out = tmp_path / "t.csv"
         rc, doc = run(capsys, "orbit", "--config", cfg, "--steps", "1200", "--out", str(out))
@@ -457,6 +458,20 @@ class TestOrbit:
         assert captured.err.startswith("qmix: orbit trace leaves a bar-angle gap of ")
         assert captured.out == ""
         assert not out.exists()
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    def test_equal_tiny_bars_beside_a_bar_of_1_exit_2_under_warnings_as_errors(self, tmp_path, capsys):
+        # the two 3e-10 bars cannot be traced through the tangency at theta = 0; the trace must
+        # end in its own ValueError, exit 2, and not in a numpy warning raised as an error
+        cfg = write_json(tmp_path, "c.json", {"p": [1.0, 1e-19, 1e-19]})
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["orbit", "--config", cfg, "--steps", "1200", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("qmix: ")
+        assert captured.out == ""
         assert os.listdir(tmp_path) == ["c.json"]
 
     def test_missing_p(self, tmp_path, capsys):

@@ -147,14 +147,20 @@ CORPUS = [
     # phases that are not an object, and with neither blocks nor phases
     (*synth({"group": "s3", "phases": 5}), 2),
     (*synth({"group": "s3"}), 2),
-    # orbit at a tiny weight: a 1e-8 bar traced in full, and a 1e-12 bar below the zero-bar
-    # cutoff, traced as point orbits
+    # orbit at a tiny weight: a 1e-8 bar traced in full, and a 1e-12 bar, which as the crank
+    # traces two full loops
     (*orbit([0.44, 0.56, 1e-16]), 0),
     (*orbit([0.5, 0.5, 1e-24]), 0),
-    # orbit with two small unequal bars: a crank of exactly 1 (a zero chord at theta = 0, which
-    # the two mirrored arcs stop short of), and a crank just below 1
+    # orbit with two small unequal bars, beside a bar of exactly 1 and beside a bar just below 1
     (*orbit([1.0, 1.1227030650458948e-17, 4.1602002640974797e-17], "--steps", "1200"), 0),
     (*orbit([0.9999999999, 1e-10, 1e-20], "--steps", "1200"), 0),
+    # orbit with two equal tiny bars beside a bar of 1: 3e-9 bars trace as one loop, while 3e-10
+    # bars cannot pass the tangency at theta = 0 and exit 2; one ulp off the Grashof boundary, one
+    # loop as orbit_count says; and a zero crank beside bars of 1e-12 and 1, one point orbit
+    (*orbit([1.0, 1e-17, 1e-17]), 0),
+    (*orbit([1.0, 1e-19, 1e-19]), 2),
+    (*orbit([0.006596427004888358, 0.9855792992581145, 0.007824273736997078]), 0),
+    (*orbit([0.0, 1e-24, 1.0]), 0),
 ]
 
 

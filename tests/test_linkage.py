@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -56,7 +56,7 @@ def lower_tangent_weights(r1: float) -> tuple[float, float, float]:
 
 
 def tangency_angles(r1: float, r2: float, r3: float) -> list[float]:
-    """The crank angles, both signs, where bars 2 and 3 lie straight or folded: arccos of lo and hi."""
+    """The crank angles, both signs, where bars 2 and 3 lie straight or folded (span r2 +- r3)."""
     ends = [(1 + r1 * r1 - s * s) / (2 * r1) for s in (r2 + r3, r2 - r3)]
     return [t for c in ends if abs(c) <= 1 for t in (np.arccos(c), -np.arccos(c))]
 
@@ -370,6 +370,9 @@ TANGENT_WEIGHTS = st.tuples(st.floats(0.02, 1 / 3), st.permutations(range(3))).m
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(p=st.one_of(INTERIOR_WEIGHTS, TANGENT_WEIGHTS), steps=st.sampled_from([12, 120, 1200]))
+# one ulp off the Grashof boundary: b + c - a - 1 = 2.2e-16, so grashof says 2 where the trace's
+# tolerance sees one loop, and orbit_count must count as the trace does
+@example(p=(0.006596427004888358, 0.9855792992581145, 0.007824273736997078), steps=1200)
 def test_traces_meet_their_gap_bound_and_close(p, steps):
     spec, assignment = LinkageSpec.from_weights(p)
     loops = orbit_trace(spec, steps, assignment)
@@ -402,12 +405,17 @@ TWO_TINY_WEIGHTS = st.builds(two_tiny_weights, st.floats(-9.0, -5.0), st.floats(
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=160)
 @given(p=st.one_of(TINY_WEIGHTS, TWO_TINY_WEIGHTS), steps=st.sampled_from([12, 120, 1200]))
-@example(p=(1.0, 1.1227030650458948e-17, 4.1602002640974797e-17), steps=1200)  # a crank of exactly 1
+@example(p=(1.0, 1.1227030650458948e-17, 4.1602002640974797e-17), steps=1200)  # a bar of exactly 1
+@example(p=(1.0, 1e-17, 1e-17), steps=1200)  # two equal bars beside it: one loop, a tangency at 0
+@example(p=(0.44, 0.56, 1e-22), steps=12000)  # a 1e-11 bar at a tenfold finer trace
+@example(p=(0.3, 1e-18, 0.7), steps=120000)  # a 1e-9 bar at a hundredfold finer trace
+@example(p=(0.0, 0.0, 1.0), steps=1200)  # a zero crank: one point orbit, as orbit_count says
+@example(p=(0.0, 0.5, 0.5), steps=1200)  # two point orbits
+@example(p=(0.0, 1e-24, 1.0), steps=1200)  # bars 1e-12 and 1 beside it meet 1 at one tangency
 def test_tiny_weight_traces_meet_their_gap_bound_and_close(p, steps):
-    # one weight log-uniform in [1e-22, 1e-4]: its bar, 1e-11 to 1e-2, resolves down to the zero-bar
-    # cutoff; or two small ones, bars of 3e-3 and less beside a crank near 1, whose arcs end just
-    # short of theta = 0.  Nested rows are not counted: below a weight of about 1e-8, |cos delta|
-    # on most rows falls under cos_vanishes' 1e-9
+    # one weight log-uniform in [1e-22, 1e-4], whose bar of 1e-11 to 1e-2 is the crank; or two
+    # small ones, bars of 3e-3 and less beside a bar near 1.  Nested rows are not counted: below a
+    # weight of about 1e-8, |cos delta| on most rows falls under cos_vanishes' 1e-9
     spec, assignment = LinkageSpec.from_weights(p)
     loops = orbit_trace(spec, steps, assignment)
     assert len(loops) == orbit_count(spec)
@@ -415,6 +423,23 @@ def test_tiny_weight_traces_meet_their_gap_bound_and_close(p, steps):
         assert largest_gap(loop) < 2 * np.pi * 3 / steps
         assert np.abs(loop.sum(axis=1) - 1).max() <= 1e-10
         assert np.abs((np.abs(loop) ** 2).sum(axis=1) - 1).max() <= 1e-10
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(p=st.one_of(INTERIOR_WEIGHTS, TANGENT_WEIGHTS, TINY_WEIGHTS, TWO_TINY_WEIGHTS),
+       steps=st.sampled_from([120, 1200]))
+def test_slot_order_permutes_the_columns_bitwise(p, steps):
+    # the trace cranks the shortest bar whatever the slot order, so with three distinct bars every
+    # order gives the same loops, column j holding the bar of weight p[order[j]]
+    spec, assignment = LinkageSpec.from_weights(p)
+    assume(len(set(assignment)) == 3)
+    loops = orbit_trace(spec, steps, assignment)
+    for order in itertools.permutations(range(3)):
+        permuted_spec, permuted = LinkageSpec.from_weights([p[i] for i in order])
+        traced = orbit_trace(permuted_spec, steps, permuted)
+        assert len(traced) == len(loops)
+        for loop, other in zip(loops, traced):
+            assert_array_equal(np.take(loop, order, axis=1).view(np.uint64), other.view(np.uint64))
 
 
 NESTED_TRIPLES = [UNIFORM, (0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.01, 0.36, 0.63),
