@@ -7,9 +7,25 @@ outputs relative to one working directory, so a report that echoes a path
 reads the same wherever the corpus runs.  Each entry runs twice in-process;
 both runs must give the declared exit code and the same stdout, stderr and
 output files outside the reports' ``timing`` member.
+
+Each entry's output is also checked in, in ``tests/golden/corpus.json``, so a
+change between trees shows up as a diff of that file.  Rewrite it with
+
+    QMIX_REGOLD=1 python -m pytest tests/test_corpus.py
+
+Per entry id it holds the argv, the exit code, the stderr, and stdout and each
+output file: a report as parsed JSON without ``timing``, a CSV as its data-row
+count, its SHA-256 and, up to ``TEXT_LIMIT`` bytes, its lines.  On the numpy
+version that wrote the file every float must match bitwise; on another, within
+``CROSS_VERSION_RTOL`` (plus ``CROSS_VERSION_ATOL`` for rounding residuals near
+zero), and a CSV by its rows and parsed cells, since numpy builds may round
+transcendentals differently.
 """
 
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,26 +180,154 @@ CORPUS = [
 ]
 
 
+GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
+REGOLD = os.environ.get("QMIX_REGOLD") == "1"
+TEXT_LIMIT = 40_000
+# floats are written by repr, so the numpy build that wrote the file reproduces them bitwise.
+# Another build may round a transcendental's last bit differently, and a scan, an orbit bisection
+# or a Levenberg-Marquardt fit carries that on: the relative bound sits far above such rounding
+# and far below a change in what a request computes; the absolute one covers residuals that are
+# rounding noise near zero (unitarity residuals of about 1e-16).
+CROSS_VERSION_RTOL = 1e-9
+CROSS_VERSION_ATOL = 1e-12
+
+ENTRIES = [(f"{i:02d}", *entry) for i, entry in enumerate(CORPUS)]
+IDS = [f"{key} {' '.join(argv)}" for key, argv, _, _ in ENTRIES]
+
+
 def outside_timing(text: str) -> str:
     """A report's text up to its last member, ``timing``; any other text whole."""
     return text.partition('\n  "timing": ')[0]
 
 
-@pytest.mark.parametrize("argv, documents, code", CORPUS,
-                         ids=[f"{i:02d} {' '.join(argv)}" for i, (argv, _, _) in enumerate(CORPUS)])
-def test_request_repeats_outside_timing(tmp_path, monkeypatch, capsys, argv, documents, code):
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    """``tmp_path`` as the working directory, with argparse wrapping its help at 80 columns."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    return tmp_path
+
+
+def run(capsys, tmp_path, argv, documents) -> tuple[int, str, str, dict]:
+    """Exit code, stdout, stderr and output files' text of one in-process run in ``tmp_path``."""
+    for path in tmp_path.iterdir():
+        if path.name not in documents and path.is_file():
+            path.unlink()
     for name, doc in documents.items():
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    files = {p.name: p.read_text() for p in sorted(tmp_path.iterdir()) if p.name not in documents}
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("argv, documents, code", CORPUS, ids=IDS)
+def test_request_repeats_outside_timing(in_tmp, capsys, argv, documents, code):
     runs = []
     for _ in range(2):
-        for path in tmp_path.iterdir():
-            if path.name not in documents and path.is_file():
-                path.unlink()
-        assert main(list(argv)) == code
-        captured = capsys.readouterr()
-        outputs = {p.name: outside_timing(p.read_text()) for p in sorted(tmp_path.iterdir())
-                   if p.name not in documents}
-        runs.append((outside_timing(captured.out), captured.err, outputs))
+        rc, out, err, files = run(capsys, in_tmp, argv, documents)
+        assert rc == code
+        runs.append((outside_timing(out), err,
+                     {name: outside_timing(text) for name, text in files.items()}))
     assert runs[0] == runs[1]
     assert "Traceback" not in runs[0][1]
+
+
+def report(text: str) -> dict:
+    """A report as parsed JSON without its ``timing`` member."""
+    doc = json.loads(text)
+    doc.pop("timing")
+    return doc
+
+
+def csv_record(text: str) -> dict:
+    """A CSV by its data-row count and SHA-256, and its lines when it is small."""
+    lines = text.splitlines(keepends=True)
+    rec = {"data_rows": len(lines) - 1, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    if len(text) <= TEXT_LIMIT:
+        rec["lines"] = lines
+    return rec
+
+
+def record(argv, code, out, err, files) -> dict:
+    """An entry of the golden file: stdout is a report or text (help), each file a report or CSV."""
+    return {"argv": list(argv), "exit": code, "stderr": err,
+            "stdout": report(out) if out.startswith("{") else out,
+            "files": {name: report(text) if text.startswith("{") else csv_record(text)
+                      for name, text in files.items()}}
+
+
+def cells(line: str) -> list:
+    """A CSV line's cells, each a float where it reads as one."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    return [cell(c) for c in line.rstrip("\r\n").split(",")]
+
+
+def cross_version(rec):
+    """``rec`` as compared on another numpy version: CSVs by row count and parsed cells."""
+    if isinstance(rec, dict):
+        if "sha256" in rec:
+            return {"data_rows": rec["data_rows"],
+                    "cells": [cells(line) for line in rec.get("lines", [])]}
+        return {key: cross_version(value) for key, value in rec.items()}
+    return [cross_version(value) for value in rec] if isinstance(rec, list) else rec
+
+
+def mismatches(old, new, exact: bool, path: str = ""):
+    """(JSON path, golden value, new value, float difference or None) where ``new`` departs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(k for k in new if k not in old)]:
+            if key not in old or key not in new:
+                yield f"{path}/{key}", old.get(key, "<absent>"), new.get(key, "<absent>"), None
+            else:
+                yield from mismatches(old[key], new[key], exact, f"{path}/{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, (a, b) in enumerate(zip(old, new)):
+            yield from mismatches(a, b, exact, f"{path}/{k}")
+    elif type(old) is float and type(new) is float:
+        if repr(old) != repr(new):  # repr reads back bitwise, and NaN equals NaN here
+            diff = abs(old - new)
+            bound = CROSS_VERSION_RTOL * max(abs(old), abs(new)) + CROSS_VERSION_ATOL
+            if exact or not diff <= bound:
+                yield path, old, new, diff
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new, None
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """The golden file's contents; under QMIX_REGOLD=1, rewritten from this run at the end."""
+    doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"numpy": None, "entries": {}}
+    yield doc
+    if REGOLD:
+        keys = {key for key, *_ in ENTRIES}
+        entries = doc["entries"]
+        doc = {"numpy": np.__version__,
+               "entries": {k: entries[k] for k in sorted(entries, key=int) if k in keys}}
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
+
+
+@pytest.mark.parametrize("key, argv, documents, code", ENTRIES, ids=IDS)
+def test_request_matches_golden_file(in_tmp, capsys, golden, key, argv, documents, code):
+    new = record(argv, *run(capsys, in_tmp, argv, documents))
+    if REGOLD:
+        golden["entries"][key] = new
+        return
+    assert key in golden["entries"], f"entry {key} is not in {GOLDEN.name}; rewrite it"
+    old = golden["entries"][key]
+    exact = golden["numpy"] == np.__version__
+    if not exact:
+        old, new = cross_version(old), cross_version(new)
+    found = list(mismatches(old, new, exact))
+    if found:
+        path, a, b, _ = found[0]
+        diffs = [(diff, where) for where, _, _, diff in found if diff is not None]
+        worst = "largest float difference %.3g at %s" % max(diffs) if diffs else "no float differs"
+        pytest.fail(f"entry {key} ({' '.join(argv)}) departs from {GOLDEN.name} "
+                    f"(numpy {golden['numpy']}, here {np.__version__}) at {len(found)} path(s), "
+                    f"first {path}: golden {a!r}, now {b!r}; {worst}")
