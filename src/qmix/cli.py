@@ -335,7 +335,8 @@ def _draw(n: int, d: int, seed: int, b: int, lo: int, hi: int):
     Block b is drawn whole from SeedSequence((seed, b)), in this order, so a
     row never depends on which rows were asked for: normals for n states as
     by ``random_density(d)``, then uniform lam and the signs for n = 2, or
-    ``random_qtriple``'s phase and normals for n = 3.  Returns (states,
+    ``random_qtriple``'s phase and normals for n = 3, mapped to q-rows by
+    the S^3 chart (``combine._balanced_q_rows``).  Returns (states,
     (lam, sign)) with (N,) arrays for n = 2 and (states, q) with (N, 3)
     q-rows for n = 3.
     """

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._serial import complexes, pairs, reals
 from .groups import CoeffVector, FiniteGroup, _is_over, symmetric_group
-from .irreps import _S3, _S3_IRREPS, _factor_axes, _s3_z_unit, extract_blocks, tensor_rep
+from .irreps import _S3, _S3_IRREPS, _factor_axes, _unit_ac, extract_blocks, tensor_rep
 from .states import DensityMatrix, _matmul, _require, tensor
 from .states import partial_trace  # noqa: F401  bench/spans.py wraps it at this binding
 
@@ -116,14 +116,6 @@ def _closure_sums(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (np.abs(q) ** 2).sum(axis=-1), q.sum(axis=-1)
 
 
-def _sum_one_gauge(q: np.ndarray) -> np.ndarray:
-    """Rows with |sum q_i| = 1 rotated so that sum q_i = 1; rows already within tolerance are kept."""
-    total = q.sum(axis=-1, keepdims=True)
-    # np.hypot is what abs() of one complex computes; the array abs may round differently
-    return np.where(abs(total - 1) > _CONSTRAINT_TOL,
-                    q * (np.conj(total) / np.hypot(total.real, total.imag)), q)
-
-
 def _closed_rows(q) -> np.ndarray:
     """q as a complex (..., 3) array, each row checked as a QTriple in the sum-one gauge."""
     q = np.asarray(q, dtype=complex)
@@ -152,7 +144,10 @@ class QTriple:
         _require(abs(norm - 1), _CONSTRAINT_TOL, "sum |q_i|^2 = {:.12g}, not 1", quote=norm)
         _require(abs(abs(total) - 1), _CONSTRAINT_TOL, "|q1+q2+q3| = {:.12g}, not 1",
                  quote=abs(total))
-        for name, value in zip(("q1", "q2", "q3"), _sum_one_gauge(q).tolist()):
+        if abs(total - 1) > _CONSTRAINT_TOL:
+            # np.hypot is what abs() of one complex computes; the array abs may round differently
+            q = q * (np.conj(total) / np.hypot(total.real, total.imag))
+        for name, value in zip(("q1", "q2", "q3"), q.tolist()):
             object.__setattr__(self, name, value)
 
     def as_array(self) -> np.ndarray:
@@ -613,17 +608,19 @@ def verify_real_imag_param(a1: float, a2: float, a3: float,
 
 
 def random_qtriple(seed=None) -> QTriple:
-    """Uniform sample of the constraint manifold via the phase parametrization."""
+    """Uniform sample of the constraint manifold: one row of ``_balanced_q_rows``."""
     rng = np.random.default_rng(seed)
     return QTriple(*_balanced_q_rows(rng.uniform(0, 2 * np.pi, 1), rng.normal(size=(1, 4)))[0])
 
 
 def _balanced_q_rows(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(N, 3) q-rows from phases phi1 = -phi2 = phi (N,) and normals v (N, 4).
+    """(N, 3) q-rows from phases phi1 = -phi2 = phi (N,) and normals v (N, 4): the S^3 chart.
 
-    (a, c) is v normalized, which puts it Haar-uniformly on the unit sphere
-    of C^2; each row is q_from_z(irreps.s3_coeffs_from_phases(phi, -phi, a, c)),
-    value for value.
+    (a, c) is v normalized, Haar-uniform on the unit sphere of C^2, and
+    (a', c') = e^{-i phi} (a, c).  Row by row, q = (1 + 2a', 1 - a' - sqrt(3) c',
+    1 - a' + sqrt(3) c') / 3: in the sum-one gauge, onto the q-triples, and
+    q_from_z(irreps.s3_coeffs_from_phases(phi, -phi, a, c)) up to rounding.
     """
-    z = _s3_z_unit(phi, -phi, v)
-    return _sum_one_gauge(z[:, :3] + z[:, 3:])
+    a, c = (_unit_ac(v) * np.exp(-1j * phi)[:, None]).T
+    r3c = np.sqrt(3) * c
+    return np.stack([1 + 2 * a, 1 - a - r3c, 1 - a + r3c], axis=-1) / 3

@@ -313,17 +313,16 @@ def _s3_z(phi1: np.ndarray, phi2: np.ndarray, a: np.ndarray, c: np.ndarray) -> n
     ], axis=-1)
 
 
-def _s3_z_unit(phi1: np.ndarray, phi2: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``_s3_z`` of phases (N,) and rows v = (Re a, Im a, Re c, Im c) (N, 4) scaled to norm 1."""
+def _unit_ac(v: np.ndarray) -> np.ndarray:
+    """Rows v = (Re a, Im a, Re c, Im c) (N, 4) scaled to norm 1, as complex (a, c) rows (N, 2)."""
     # each norm as a dot product, as np.linalg.norm takes it for a single vector
     nrm = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
-    ac = (v / np.where(nrm < 1e-12, np.nan, nrm)).view(complex)  # NaN rows where v is ~0
-    return _s3_z(phi1, phi2, ac[:, 0], ac[:, 1])
+    return (v / np.where(nrm < 1e-12, np.nan, nrm)).view(complex)  # NaN rows where v is ~0
 
 
 def _flat_residuals(x: np.ndarray) -> np.ndarray:
     """|z_g|^2 - 1/6 of (k, 6) rows (phi1, phi2, Re a, Im a, Re c, Im c); 1 where (a, c) is 0."""
-    r = np.abs(_s3_z_unit(x[:, 0], x[:, 1], x[:, 2:])) ** 2 - 1.0 / 6.0
+    r = np.abs(_s3_z(x[:, 0], x[:, 1], *_unit_ac(x[:, 2:]).T)) ** 2 - 1.0 / 6.0
     return np.where(np.isnan(r), 1.0, r)  # so a Jacobian holds no NaN
 
 
@@ -379,7 +378,7 @@ def flat_unitary_search(attempts: int, seed: int) -> list[CoeffVector]:
     for _ in range(attempts):
         x0 = np.concatenate([rng.uniform(0, 2 * np.pi, 2), rng.normal(size=4)])
         x = minimize(_flat_residuals, x0).x
-        z = _s3_z_unit(x[:1], x[1:2], x[None, 2:])[0]
+        z = _s3_z(x[:1], x[1:2], *_unit_ac(x[None, 2:]).T)[0]
         if _require(np.abs(np.abs(z) - 1.0 / np.sqrt(6.0)).max(), _FLAT_TOL):  # NaN fails
             z = CoeffVector(_S3, z)
             extract_blocks(z, _S3_IRREPS)  # unitarity guaranteed by construction; keep honest

@@ -97,8 +97,8 @@ PINNED_ARGMIN = {
             [[0.10871992989506367, 0.35529412673300237], [0.613588552084577, 0.0]],
         ],
     ],
-    "q": [[-0.03776308427292303, -0.0863902460606101], [0.9833034826634263, 0.13680989301637306],
-          [0.05445960160949682, -0.050419646955762974]],
+    "q": [[-0.03776308427292292, -0.08639024606061008], [0.983303482663426, 0.13680989301637303],
+          [0.05445960160949677, -0.05041964695576297]],
 }
 
 IDENTITY_BLOCKS = {
