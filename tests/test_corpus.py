@@ -308,7 +308,6 @@ def golden():
         entries = doc["entries"]
         doc = {"numpy": np.__version__,
                "entries": {k: entries[k] for k in sorted(entries, key=int) if k in keys}}
-        GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
 
 
