@@ -24,14 +24,15 @@ the vanishing-cosine criterion deciding nestedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from ._serial import complexes, pairs, reals
 from .groups import CoeffVector, FiniteGroup, _is_over, symmetric_group
 from .irreps import _S3, _S3_IRREPS, _factor_axes, _unit_ac, extract_blocks, tensor_rep
-from .states import DensityMatrix, _matmul, _require, tensor
-from .states import partial_trace  # noqa: F401  bench/spans.py wraps it at this binding
+from .states import DensityMatrix, _matmul, _require
+from .states import partial_trace, tensor  # noqa: F401  bench/spans.py wraps them at this binding
 
 __all__ = [
     "QTriple",
@@ -309,18 +310,32 @@ def _mats(*rhos: DensityMatrix) -> list[np.ndarray]:
 
 def _permutation_channel(rhos: list[DensityMatrix], coeffs: np.ndarray,
                          group: FiniteGroup) -> DensityMatrix:
-    """Tr_{2..n} U (rho_1 (x) ... (x) rho_n) U^dag for U = sum_g coeffs_g Q_g over group = S_n."""
-    _mats(*rhos)
-    n, d = len(rhos), rhos[0].dim
-    X = tensor(rhos).mat.reshape((d,) * 2 * n)
-    # term (g, h) of U X U^dag is X with its row axes permuted by g and its column axes
-    # by h; tracing out factors 2..n reads only the diagonal of that view
-    rows = "abcdefgh"[:n]
-    trace = f"{rows}z{rows[1:]}->az"  # "abczbc->az" at n = 3
+    """Tr_{2..n} U (rho_1 (x) ... (x) rho_n) U^dag, U = sum_g coeffs_g Q_g over group = S_n."""
+    mats = _mats(*rhos)
     terms = list(zip(coeffs, (_factor_axes(p) for p in group.perms)))
-    return DensityMatrix(sum(
-        zg * np.conj(zh) * np.einsum(trace, X.transpose(g + tuple(n + k for k in h)))
-        for zg, g in terms for zh, h in terms))
+    out = 0
+    for zg, g in terms:
+        for zh, h in terms:
+            term = mats[0]  # contracted factor by factor: the product state is never formed
+            for subscripts, m in zip(_term_plan(g, h), mats[1:]):
+                term = np.einsum(subscripts, term, m)
+            out = out + zg * np.conj(zh) * term
+    return DensityMatrix(out)
+
+
+@cache
+def _term_plan(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[str, ...]:
+    """Two-operand einsum subscripts taking term (g, h) of the channel from its factors in turn."""
+    rows, cols = "abcdefgh"[:len(g)], "zbcdefgh"[:len(g)]
+    # the term's row axes permuted by g, its column axes by h; slots 2..n share labels (the trace)
+    labels = [rows[g.index(m)] + cols[h.index(m)] for m in range(len(g))]
+    plan, held = [], labels[0]
+    for k in range(1, len(g)):
+        needed = "az" + "".join(labels[k + 1:])  # the output's labels and the later factors'
+        keep = "".join(c for c in "a" + cols if c in held + labels[k] and c in needed)
+        plan.append(f"{held},{labels[k]}->{keep}")
+        held = keep
+    return tuple(plan)
 
 
 def _s3_coeffs(z: CoeffVector) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -125,11 +127,11 @@ class TestCombine2:
             b = combine2_bruteforce(r1, r2, lam, sign).mat
             assert np.abs(a - b).max() < 1e-10
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])  # d = 8 is the brute-force cap
     def test_brute_matches_dense_conjugation(self, d):
         # the definition written out: conjugate by the partial swap, trace out factor 2
         rng = np.random.default_rng(90 + d)
-        for _ in range(5):
+        for _ in range(2 if d == 8 else 5):
             r1, r2 = random_density(d, seed=rng), random_density(d, seed=rng)
             lam, sign = rng.uniform(), int(rng.choice([1, -1]))
             U = partial_swap_unitary(lam, d, sign)
@@ -381,16 +383,30 @@ class TestTernaryEquivalence:
             assert np.abs(a - b).max() < 1e-10
             assert np.abs(a - c).max() < 1e-10
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])  # d = 8: the cap, and what combine --verify runs
     def test_brute_matches_dense_conjugation(self, d):
         # the definition written out: build U = sum_g z_g Q_g, conjugate, trace out 2 and 3
         rng = np.random.default_rng(40 + d)
-        for _ in range(5):
+        for _ in range(2 if d == 8 else 5):
             rhos = [random_density(d, seed=rng) for _ in range(3)]
             z = synthesize_coeffs(random_block_unitaries(IR3, rng), IR3)
             U = sum(z.coeffs[g] * tensor_rep(IR3.group.perms[g], d) for g in range(6))
             dense = partial_trace(U @ tensor(rhos).mat @ U.conj().T, {1}, d, 3)
             assert np.abs(dense - combine3_bruteforce(*rhos, z).mat).max() < 1e-12
+
+    def test_brute_never_forms_the_product_state(self):
+        # the channel is contracted factor by factor: rho1 (x) rho2 (x) rho3 alone is 4 MiB at d = 8
+        rng = np.random.default_rng(48)
+        rhos = [random_density(8, seed=rng) for _ in range(3)]
+        z = z_from_q(random_qtriple(rng))
+        combine3_bruteforce(*rhos, z)  # warm up, so lazy first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            combine3_bruteforce(*rhos, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_pdelta_path(self):
         rng = np.random.default_rng(16)
