@@ -145,7 +145,7 @@ class QTriple:
         _require(abs(norm - 1), _CONSTRAINT_TOL, "sum |q_i|^2 = {:.12g}, not 1", quote=norm)
         _require(abs(abs(total) - 1), _CONSTRAINT_TOL, "|q1+q2+q3| = {:.12g}, not 1",
                  quote=abs(total))
-        if abs(total - 1) > _CONSTRAINT_TOL:
+        if total != 1:
             # np.hypot is what abs() of one complex computes; the array abs may round differently
             q = q * (np.conj(total) / np.hypot(total.real, total.imag))
         for name, value in zip(("q1", "q2", "q3"), q.tolist()):
