@@ -36,6 +36,8 @@ from .combine import (
     PDelta,
     QTriple,
     _balanced_q_rows,
+    _binary_bloch,
+    _closed_bloch,
     combine2,
     combine2_bruteforce,
     combine2_stacked,
@@ -64,7 +66,10 @@ from .irreps import (
 from .linkage import LinkageSpec, orbit_trace, write_orbit_csv
 from .states import (
     DensityMatrix,
+    _bloch_mats,
     _bloch_rows,
+    _bloch_spectra,
+    _gram_bloch,
     _gram_states,
     _require,
     _spectra,
@@ -330,19 +335,20 @@ def _cmd_orbit(args) -> tuple[dict, str | None]:
 
 
 def _draw(n: int, d: int, seed: int, b: int, lo: int, hi: int):
-    """States (N, n, d, d) and parameters of samples b*DRAW_BLOCK + lo..hi-1.
+    """States and parameters of samples b*DRAW_BLOCK + lo..hi-1.
 
     Block b is drawn whole from SeedSequence((seed, b)), in this order, so a
     row never depends on which rows were asked for: normals for n states as
     by ``random_density(d)``, then uniform lam and the signs for n = 2, or
     ``random_qtriple``'s phase and normals for n = 3, mapped to q-rows by
-    the S^3 chart (``combine._balanced_q_rows``).  Returns (states,
-    (lam, sign)) with (N,) arrays for n = 2 and (states, q) with (N, 3)
-    q-rows for n = 3.
+    the S^3 chart (``combine._balanced_q_rows``).  The states are (3, n, N)
+    Bloch vectors at d = 2 and (N, n, d, d) matrices above.  Returns
+    (states, (lam, sign)) with (N,) arrays for n = 2 and (states, q) with
+    (N, 3) q-rows for n = 3.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-    normals = rng.normal(size=(DRAW_BLOCK, n * 2 * d * d))[lo:hi]
-    states = _gram_states(normals.reshape(-1, n, 2, d, d))
+    normals = rng.normal(size=(DRAW_BLOCK, n * 2 * d * d))[lo:hi].reshape(-1, n, 2, d, d)
+    states = _gram_bloch(normals) if d == 2 else _gram_states(normals)
     if n == 2:
         lam, sign = rng.uniform(size=DRAW_BLOCK), 1 - 2 * rng.integers(2, size=DRAW_BLOCK)
         return states, (lam[lo:hi], sign[lo:hi])
@@ -351,19 +357,19 @@ def _draw(n: int, d: int, seed: int, b: int, lo: int, hi: int):
 
 
 def _gaps(n: int, fname: str, states: np.ndarray, params) -> np.ndarray:
-    """Concavity gaps of drawn samples: entropy of the mix minus the weighted entropies.
+    """Concavity gaps of drawn samples (``_draw``): entropy of the mix minus the weighted entropies.
 
     The outputs and inputs are checked and diagonalized in one stacked call.
     """
-    rhos = np.moveaxis(states, 1, 0)
-    if n == 2:
-        lam, sign = params
-        out, weights = combine2_stacked(*rhos, lam, sign), np.stack([lam, 1 - lam], axis=-1)
+    weights = np.stack(params[:1] + (1 - params[0],)) if n == 2 else (np.abs(params) ** 2).T
+    if states.ndim == 3:  # Bloch vectors
+        out = _binary_bloch(states, *params) if n == 2 else _closed_bloch(states, params)
+        values = get_functional(fname)(_bloch_spectra(np.concatenate([out[:, None], states], 1)))
     else:
-        out, weights = combine3_closed_stacked(*rhos, params), np.abs(params) ** 2
-    spectra = density_spectra(np.concatenate([out[:, None], states], axis=1))
-    values = get_functional(fname)(spectra)
-    return values[:, 0] - sum(weights[:, k] * values[:, k + 1] for k in range(n))
+        rhos = np.moveaxis(states, 1, 0)
+        out = combine2_stacked(*rhos, *params) if n == 2 else combine3_closed_stacked(*rhos, params)
+        values = get_functional(fname)(density_spectra(np.concatenate([out[:, None], states], 1))).T
+    return values[0] - sum(weights[k] * values[k + 1] for k in range(n))
 
 
 def _scan_blocks(packed) -> tuple[float, int, int]:
@@ -384,8 +390,9 @@ def _argmin_sample(n: int, d: int, fname: str, seed: int, index: int) -> tuple[f
     """Concavity gap and reproduction record of one sample, drawn from its block as a batch of one."""
     b, row = divmod(index, DRAW_BLOCK)
     states, params = _draw(n, d, seed, b, row, row + 1)
+    mats = _bloch_mats(states[..., 0]) if d == 2 else states[0]
     detail: dict = {"sample_index": index, "seed_path": [seed, index],
-                    "states": [pairs(r) for r in states[0]]}
+                    "states": [pairs(r) for r in mats]}
     if n == 2:
         detail["lambda"], detail["sign"] = float(params[0][0]), int(params[1][0])
     else:

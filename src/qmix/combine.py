@@ -427,6 +427,37 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
     return out + (x12 * (t231 + a231) + x23 * (t312 + a312) + x31 * (t123 + a123))
 
 
+def _closed_bloch(r: np.ndarray, q) -> np.ndarray:
+    """``combine3_closed_stacked`` on qubits: (3, ...) Bloch vectors out of (3, 3, ...) ones in.
+
+    r[:, l] is state l + 1; its trailing axes broadcast against the (N, 3) or (3,) q.  With the
+    w, s and x of ``combine3_closed_stacked``, indexed by the cyclic pair (m, m + 1), X = sum x and
+    D_l = r_{l+1}.r_{l+2}: out = sum_l c_l r_l - sum_m s_m (r_m x r_{m+1}), where
+    c_l = w_l + (X + D_l (x_l + x_{l+2} - x_{l+1}))/2, all three l at once.
+    """
+    q = _closed_rows(q).T
+    re, im = q.real, q.imag
+    re1, im1 = re[[1, 2, 0]], im[[1, 2, 0]]
+    x, s = re * re1 + im * im1, im * re1 - re * im1
+    r1, r2 = r[:, [1, 2, 0]], r[:, [2, 0, 1]]
+    dots = r1[0] * r2[0] + r1[1] * r2[1] + r1[2] * r2[2]
+    c = re * re + im * im + (x.sum(axis=0) + dots * (x + x[[2, 0, 1]] - x[[1, 2, 0]])) / 2
+    cross = np.stack([r[1] * r1[2] - r[2] * r1[1], r[2] * r1[0] - r[0] * r1[2],
+                      r[0] * r1[1] - r[1] * r1[0]])
+    return (c * r - s * cross).sum(axis=1)
+
+
+def _binary_bloch(r: np.ndarray, lam, sign) -> np.ndarray:
+    """``combine2_stacked`` on qubits: lam r1 + (1 - lam) r2 + sign sqrt(lam (1 - lam)) (r1 x r2).
+
+    (3, 2, ...) Bloch vectors in, (3, ...) out; lam and sign are taken as valid.
+    """
+    (x1, y1, z1), (x2, y2, z2) = r[:, 0], r[:, 1]
+    t = sign * np.sqrt(lam * (1 - lam))
+    return (lam * r[:, 0] + (1 - lam) * r[:, 1]
+            + t * np.stack([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2]))
+
+
 # ---------------------------------------------------------------------------
 # parametrization conversions
 

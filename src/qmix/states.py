@@ -214,6 +214,38 @@ def _gram_states(x: np.ndarray) -> np.ndarray:
     return M / np.einsum("...ii->...", M).real[..., None, None]
 
 
+def _gram_bloch(x: np.ndarray) -> np.ndarray:
+    """Bloch vectors (3, ...) of ``_gram_states(x)`` for (..., 2, 2, r) normals, in real arithmetic.
+
+    With G's rows g0, g1: r = (2 Re g0.conj(g1), -2 Im g0.conj(g1), |g0|^2 - |g1|^2) / Tr G G^dag.
+    """
+    t = np.ascontiguousarray(x.T)  # (r, row, part, ...): one contiguous row per coordinate
+    re0, im0, re1, im1 = t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1]
+    n0, n1 = (re0 * re0 + im0 * im0).sum(axis=0), (re1 * re1 + im1 * im1).sum(axis=0)
+    c, s = (re0 * re1 + im0 * im1).sum(axis=0), (im0 * re1 - re0 * im1).sum(axis=0)
+    return np.stack([2 * c, -2 * s, n0 - n1]) / (n0 + n1)
+
+
+def _bloch_spectra(r: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (1 -+ |r|)/2, as (..., 2), of the qubits (I + r.sigma)/2 of (3, ...) r.
+
+    Hermiticity and unit trace hold by construction, so of ``density_spectra``'s checks only
+    the PSD bound is left: |r| <= 1 + 2e-9.  NaN and infinite components fail.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail the check
+        norm = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+        low = (1 - norm) / 2
+    _require(norm, 1 - 2 * _PSD_TOL, "negative eigenvalue {:.3e}", quote=low)
+    return np.stack([low, (1 + norm) / 2], axis=-1)
+
+
+def _bloch_mats(r: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) matrices (I + r.sigma)/2 of (3, ...) Bloch vectors: ``_bloch_rows`` inverted."""
+    x, y, z = r
+    rows = np.stack([1 + z, x - 1j * y], -1), np.stack([x + 1j * y, 1 - z], -1)
+    return 0.5 * np.stack(rows, -2)
+
+
 def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B on (..., d, k) and (..., k, d) stacks, below d = 4 as a sum of k elementwise products.
 

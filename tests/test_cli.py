@@ -20,7 +20,8 @@ from qmix.cli import main
 from qmix.combine import _balanced_q_rows, combine2, combine3_closed, random_qtriple
 from qmix.irreps import s3_coeffs_from_phases
 from qmix.linkage import write_orbit_csv
-from qmix.states import DensityMatrix, EntropyFunctional, _gram_states, bloch_vector, random_density
+from qmix.states import (DensityMatrix, EntropyFunctional, _bloch_rows, _gram_states, bloch_vector,
+                         random_density)
 
 
 def write_json(tmp_path, name, obj):
@@ -79,22 +80,23 @@ def serial_pool(monkeypatch):
     return sizes
 
 
-# argmin record of `epi-scan --n 3 --d 2 --samples 400 --seed 5`, floats as their repr
+# argmin record of `epi-scan --n 3 --d 2 --samples 400 --seed 5`, floats as their repr; the states
+# are (I + r.sigma)/2 of the drawn Bloch vectors r
 PINNED_ARGMIN = {
     "sample_index": 255,
     "seed_path": [5, 255],
     "states": [
         [
             [[0.4387276544879293, 0.0], [0.2711346727832096, 0.32096319278254093]],
-            [[0.2711346727832096, -0.32096319278254093], [0.5612723455120706, 0.0]],
+            [[0.2711346727832096, -0.32096319278254093], [0.5612723455120707, 0.0]],
         ],
         [
-            [[0.38325462427465296, 0.0], [0.19396197791506847, -0.05863958283793893]],
-            [[0.19396197791506847, 0.05863958283793893], [0.616745375725347, 0.0]],
+            [[0.383254624274653, 0.0], [0.1939619779150685, -0.058639582837938936]],
+            [[0.1939619779150685, 0.058639582837938936], [0.6167453757253469, 0.0]],
         ],
         [
-            [[0.38641144791542303, 0.0], [0.10871992989506367, -0.35529412673300237]],
-            [[0.10871992989506367, 0.35529412673300237], [0.613588552084577, 0.0]],
+            [[0.3864114479154231, 0.0], [0.10871992989506371, -0.3552941267330024]],
+            [[0.10871992989506371, 0.3552941267330024], [0.613588552084577, 0.0]],
         ],
     ],
     "q": [[-0.03776308427292292, -0.08639024606061008], [0.983303482663426, 0.13680989301637303],
@@ -572,17 +574,22 @@ class TestEpiScan:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_draw_matches_the_single_samplers(self, d):
         # block 0 is drawn whole from SeedSequence((9, 0)) and passes through the single samplers'
-        # rules (random_density, random_qtriple); rows of a block are those rows of the whole block
+        # rules (random_density, random_qtriple); rows of a block are those rows of the whole block.
+        # At d = 2 the states are (3, n, N) Bloch vectors, computed apart from _gram_states.
         B = cli.DRAW_BLOCK
         for n in (2, 3):
             states, params = cli._draw(n, d, 9, 0, 0, B)
             rng = np.random.default_rng(np.random.SeedSequence((9, 0)))
-            normals = rng.normal(size=(B, n * 2 * d * d))
-            np.testing.assert_array_equal(states, _gram_states(normals.reshape(B, n, 2, d, d)))
+            expected = _gram_states(rng.normal(size=(B, n * 2 * d * d)).reshape(B, n, 2, d, d))
+            if d == 2:
+                assert np.abs(states.T - _bloch_rows(expected)).max() <= 1e-15
+            else:
+                np.testing.assert_array_equal(states, expected)
             whole_states, whole_params = cli._draw(n, d, 9, 1, 0, B)
             for lo, hi in ((250, B), (0, 1), (17, 130)):
                 part_states, part_params = cli._draw(n, d, 9, 1, lo, hi)
-                np.testing.assert_array_equal(part_states, whole_states[lo:hi])
+                np.testing.assert_array_equal(part_states, whole_states[..., lo:hi] if d == 2
+                                              else whole_states[lo:hi])
                 if n == 2:
                     np.testing.assert_array_equal(np.stack(part_params),
                                                   np.stack(whole_params)[:, lo:hi])
