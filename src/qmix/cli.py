@@ -67,7 +67,6 @@ from .linkage import LinkageSpec, orbit_trace, write_orbit_csv
 from .states import (
     DensityMatrix,
     _bloch_mats,
-    _bloch_rows,
     _bloch_spectra,
     _gram_bloch,
     _gram_states,
@@ -285,7 +284,12 @@ def _cmd_combine(args) -> tuple[dict, str | None]:
         report["bloch"] = list(bloch_vector(out))
         report["bloch_inputs"] = [list(bloch_vector(s)) for s in states]
     if args.verify:
-        mats = np.array([o.mat for o in outs.values()])
+        mats = [o.mat for o in outs.values()]
+        if d == 2 and (len(states) == 2 or q is not None):  # the scan's Bloch form too
+            r = np.array(report["bloch_inputs"]).T
+            mats.append(_bloch_mats(_binary_bloch(r, lam, sign) if len(states) == 2
+                                    else _closed_bloch(r, q.as_array())))
+        mats = np.array(mats)
         diff = float(np.abs(mats[:, None] - mats[None]).max())
         report["verify"] = {"max_mode_diff": diff}
         if not _require(diff, UNITARY_TOL):
@@ -299,10 +303,9 @@ def _cmd_combine(args) -> tuple[dict, str | None]:
 
 def _mub_columns(orbit: np.ndarray) -> dict:
     """Bloch columns of the ternary mix of the +1 states of X, Y and Z, at each (m, 3) q-row."""
-    rhos = [DensityMatrix.from_bloch(*axis).mat for axis in np.eye(3)]
-    out = combine3_closed_stacked(*rhos, orbit)
-    density_spectra(out)
-    return dict(zip(("bloch_x", "bloch_y", "bloch_z"), _bloch_rows(out).T))
+    out = _closed_bloch(np.eye(3)[..., None], orbit)
+    _bloch_spectra(out)
+    return dict(zip(("bloch_x", "bloch_y", "bloch_z"), out))
 
 
 def _cmd_orbit(args) -> tuple[dict, str | None]:
@@ -341,10 +344,9 @@ def _draw(n: int, d: int, seed: int, b: int, lo: int, hi: int):
     row never depends on which rows were asked for: normals for n states as
     by ``random_density(d)``, then uniform lam and the signs for n = 2, or
     ``random_qtriple``'s phase and normals for n = 3, mapped to q-rows by
-    the S^3 chart (``combine._balanced_q_rows``).  The states are (3, n, N)
-    Bloch vectors at d = 2 and (N, n, d, d) matrices above.  Returns
-    (states, (lam, sign)) with (N,) arrays for n = 2 and (states, q) with
-    (N, 3) q-rows for n = 3.
+    the S^3 chart (``combine._balanced_q_rows``).  Returns (states,
+    (lam, sign)) with (N,) arrays for n = 2 and (states, q) with (N, 3)
+    q-rows for n = 3; states are (3, n, N) Bloch vectors at d = 2, else (N, n, d, d).
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
     normals = rng.normal(size=(DRAW_BLOCK, n * 2 * d * d))[lo:hi].reshape(-1, n, 2, d, d)
@@ -361,7 +363,7 @@ def _gaps(n: int, fname: str, states: np.ndarray, params) -> np.ndarray:
 
     The outputs and inputs are checked and diagonalized in one stacked call.
     """
-    weights = np.stack(params[:1] + (1 - params[0],)) if n == 2 else (np.abs(params) ** 2).T
+    weights = np.stack([params[0], 1 - params[0]]) if n == 2 else (np.abs(params) ** 2).T
     if states.ndim == 3:  # Bloch vectors
         out = _binary_bloch(states, *params) if n == 2 else _closed_bloch(states, params)
         values = get_functional(fname)(_bloch_spectra(np.concatenate([out[:, None], states], 1)))

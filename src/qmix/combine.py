@@ -428,12 +428,11 @@ def combine3_closed_stacked(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray, q) -
 
 
 def _closed_bloch(r: np.ndarray, q) -> np.ndarray:
-    """``combine3_closed_stacked`` on qubits: (3, ...) Bloch vectors out of (3, 3, ...) ones in.
+    """``combine3_closed_stacked`` on (3, 3, ...) qubit Bloch vectors r[:, l] and (N, 3) or (3,) q.
 
-    r[:, l] is state l + 1; its trailing axes broadcast against the (N, 3) or (3,) q.  With the
-    w, s and x of ``combine3_closed_stacked``, indexed by the cyclic pair (m, m + 1), X = sum x and
-    D_l = r_{l+1}.r_{l+2}: out = sum_l c_l r_l - sum_m s_m (r_m x r_{m+1}), where
-    c_l = w_l + (X + D_l (x_l + x_{l+2} - x_{l+1}))/2, all three l at once.
+    With its w, s and x at the cyclic pair (m, m + 1), X = sum x and D_l = r_{l+1}.r_{l+2}, the
+    (3, ...) output is sum_l c_l r_l - sum_m s_m r_m x r_{m+1}, all three l at once, with
+    c_l = w_l + (X + D_l (x_l + x_{l+2} - x_{l+1}))/2.
     """
     q = _closed_rows(q).T
     re, im = q.real, q.imag
@@ -448,10 +447,9 @@ def _closed_bloch(r: np.ndarray, q) -> np.ndarray:
 
 
 def _binary_bloch(r: np.ndarray, lam, sign) -> np.ndarray:
-    """``combine2_stacked`` on qubits: lam r1 + (1 - lam) r2 + sign sqrt(lam (1 - lam)) (r1 x r2).
+    """``combine2_stacked`` on (3, 2, ...) Bloch vectors: lam r1 + (1 - lam) r2 + t r1 x r2.
 
-    (3, 2, ...) Bloch vectors in, (3, ...) out; lam and sign are taken as valid.
-    """
+    t = sign sqrt(lam (1 - lam)); lam and sign are taken as valid."""
     (x1, y1, z1), (x2, y2, z2) = r[:, 0], r[:, 1]
     t = sign * np.sqrt(lam * (1 - lam))
     return (lam * r[:, 0] + (1 - lam) * r[:, 1]

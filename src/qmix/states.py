@@ -25,20 +25,12 @@ __all__ = [
     "density_spectra",
     "entropy",
     "bloch_vector",
-    "PAULI",
 ]
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-9
 _SIZE_CAP = 4096
-
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 class DensityMatrix:
     """Hermitian, PSD, trace-one complex matrix.
@@ -88,8 +80,7 @@ class DensityMatrix:
     def from_bloch(cls, x: float, y: float, z: float) -> "DensityMatrix":
         with np.errstate(over="ignore"):  # an overflowing square is inf, which fails
             _require(x * x + y * y + z * z, 1 + 1e-12, "Bloch vector must lie in the unit ball")
-        M = 0.5 * (np.eye(2) + x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"])
-        return cls(M, check=False)
+        return cls(_bloch_mats(np.array([x, y, z], dtype=float)), check=False)
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
@@ -215,7 +206,7 @@ def _gram_states(x: np.ndarray) -> np.ndarray:
 
 
 def _gram_bloch(x: np.ndarray) -> np.ndarray:
-    """Bloch vectors (3, ...) of ``_gram_states(x)`` for (..., 2, 2, r) normals, in real arithmetic.
+    """(3, ...) Bloch vectors of ``_gram_states(x)``, x (..., 2, 2, r), in real arithmetic.
 
     With G's rows g0, g1: r = (2 Re g0.conj(g1), -2 Im g0.conj(g1), |g0|^2 - |g1|^2) / Tr G G^dag.
     """
@@ -227,10 +218,9 @@ def _gram_bloch(x: np.ndarray) -> np.ndarray:
 
 
 def _bloch_spectra(r: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (1 -+ |r|)/2, as (..., 2), of the qubits (I + r.sigma)/2 of (3, ...) r.
+    """Ascending (..., 2) eigenvalues (1 -+ |r|)/2 of the qubits (I + r.sigma)/2 of (3, ...) r.
 
-    Hermiticity and unit trace hold by construction, so of ``density_spectra``'s checks only
-    the PSD bound is left: |r| <= 1 + 2e-9.  NaN and infinite components fail.
+    Of ``density_spectra``'s checks only its PSD bound is left, |r| <= 1 + 2e-9; NaN and inf fail.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail the check
         norm = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
@@ -240,7 +230,7 @@ def _bloch_spectra(r: np.ndarray) -> np.ndarray:
 
 
 def _bloch_mats(r: np.ndarray) -> np.ndarray:
-    """The (..., 2, 2) matrices (I + r.sigma)/2 of (3, ...) Bloch vectors: ``_bloch_rows`` inverted."""
+    """The (..., 2, 2) qubits (I + r.sigma)/2 of (3, ...) Bloch vectors: ``_bloch_rows`` inverted."""
     x, y, z = r
     rows = np.stack([1 + z, x - 1j * y], -1), np.stack([x + 1j * y, 1 - z], -1)
     return 0.5 * np.stack(rows, -2)

@@ -263,6 +263,20 @@ class TestCombine:
         assert rc == 0 and report_of(doc)["verify"]["max_mode_diff"] < 1e-10
         assert sorted(calls) == ["combine3_bruteforce", "combine3_closed", "combine3_magic"]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_qubit_verify_runs_the_bloch_form(self, tmp_path, capsys, monkeypatch, n):
+        # at d = 2 the scan's Bloch evaluator is cross-checked too: breaking it fails the run
+        rhos = [random_density(2, seed=s) for s in range(n)]
+        states = states_file(tmp_path, "s.json", [r.mat for r in rhos])
+        params = write_json(tmp_path, "p.json", {"lambda": 0.3} if n == 2
+                            else {"q": random_qtriple(5).to_json()})
+        rc, doc = run(capsys, "combine", "--states", states, "--params", params, "--verify")
+        assert rc == 0 and report_of(doc)["verify"]["max_mode_diff"] < 1e-10
+        monkeypatch.setattr(cli, "_binary_bloch" if n == 2 else "_closed_bloch",
+                            lambda r, *params: r[:, 0])
+        rc, doc = run(capsys, "combine", "--states", states, "--params", params, "--verify")
+        assert rc == 4 and report_of(doc)["verify"]["max_mode_diff"] > 1e-3
+
     def test_verify_beyond_brute_force_cap_is_domain_error(self, tmp_path, capsys):
         states = states_file(tmp_path, "s.json", [np.eye(9) / 9] * 3)
         params = write_json(tmp_path, "p.json", {"q": random_qtriple(5).to_json()})
@@ -406,8 +420,9 @@ class TestOrbit:
             q = QTriple(complex(float(row[2]), float(row[3])),
                         complex(float(row[4]), float(row[5])),
                         complex(float(row[6]), float(row[7])))
+            # the columns come from the Bloch form, so they match the matrix form to rounding
             expect = bloch_vector(combine3_closed(*rhos, q))
-            assert tuple(float(v) for v in row[-3:]) == expect
+            assert_allclose([float(v) for v in row[-3:]], expect, rtol=0, atol=1e-15)
 
     def test_mub_columns_of_no_rows(self, tmp_path):
         cols = cli._mub_columns(np.empty((0, 3), complex))
@@ -711,6 +726,21 @@ class TestEpiScan:
         rep = report_of(json.loads(captured.out))
         assert (rep["samples"], rep["min_gap"], rep["argmin"]) == (300, None, None)
         assert rep["negative_samples"] == 0 and "counterexample" not in rep
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_draw_is_a_domain_error(self, capsys, monkeypatch, n):
+        # a NaN state component fails the spectra check: exit 3, no traceback
+        draw = cli._draw
+
+        def poisoned(*args):
+            states, params = draw(*args)
+            states.flat[0] = np.nan
+            return states, params
+        monkeypatch.setattr(cli, "_draw", poisoned)
+        rc = main(["epi-scan", "--n", str(n), "--samples", "20"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("qmix: ") and "Traceback" not in captured.err
 
     def test_rigged_functional_dumps_counterexample(self, capsys, monkeypatch):
         rigged = EntropyFunctional("purity", lambda lam: np.sum(lam ** 2, axis=-1),

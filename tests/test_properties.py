@@ -13,11 +13,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from qmix.combine import (QTriple, _balanced_q_rows, _closed_rows, combine3_bruteforce,
-                          combine3_closed, combine3_closed_stacked, combine3_magic, q_from_z,
-                          z_from_q)
+from qmix.combine import (QTriple, _balanced_q_rows, _binary_bloch, _closed_bloch, _closed_rows,
+                          combine2_stacked, combine3_bruteforce, combine3_closed,
+                          combine3_closed_stacked, combine3_magic, q_from_z, z_from_q)
 from qmix.irreps import s3_coeffs_from_phases
-from qmix.states import DensityMatrix
+from qmix.states import DensityMatrix, _bloch_rows, _bloch_spectra, _gram_bloch, _gram_states
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -109,3 +109,45 @@ def test_stacked_closed_row_equals_its_batch_of_one(data, d, count):
     for k in range(count):
         s = slice(k, k + 1)
         assert_array_equal(combine3_closed_stacked(r1[s], r2[s], r3[s], q[s])[0], out[k])
+
+
+@PROPERTY
+@given(data=st.data(), count=st.integers(1, 6))
+@example(data=None, count=0)
+def test_bloch_forms_match_the_matrix_closed_forms(data, count):
+    # qubits of every kind; a row equals its batch of one bitwise
+    if data is None:  # a pure, a maximally mixed and a full-rank qubit at a zero weight
+        zero_weight = _balanced_q_rows(np.zeros(1), np.array([[-0.5, 0.0, np.sqrt(3) / 2, 0.0]]))
+        drawn = [([density(k, 2, 1) for k in ("pure", "mixed", "gram")], zero_weight[0])]
+    else:
+        drawn = [data.draw(samples(2)) for _ in range(count)]
+    rhos = np.array([r for r, _ in drawn])  # (N, 3, 2, 2)
+    q = np.array([q for _, q in drawn])
+    r = _bloch_rows(rhos).T  # (3, 3, N)
+    out = _closed_bloch(r, q)
+    matrix = combine3_closed_stacked(*np.moveaxis(rhos, 1, 0), q)
+    assert np.abs(out.T - _bloch_rows(matrix)).max() <= 1e-15
+    lam = np.linspace(0, 1, len(drawn))
+    sign = np.where(np.arange(len(drawn)) % 2, -1, 1)
+    two = _binary_bloch(r[:, :2], lam, sign)
+    matrix = combine2_stacked(rhos[:, 0], rhos[:, 1], lam, sign)
+    assert np.abs(two.T - _bloch_rows(matrix)).max() <= 1e-15
+    for k in range(len(drawn)):
+        s = slice(k, k + 1)
+        assert_array_equal(_closed_bloch(r[..., s], q[s])[:, 0], out[:, k])
+        assert_array_equal(_binary_bloch(r[:, :2, s], lam[s], sign[s])[:, 0], two[:, k])
+
+
+@PROPERTY
+@given(x=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16), rank=st.sampled_from([1, 2]))
+@example(x=[1.0] + [0.0] * 9 + [1.0] + [0.0] * 5, rank=1)  # |0> and |1>: G has a zero row
+@example(x=[1.0, 0.0, 0.0, 1.0] + [0.0] * 4 + [0.0, 1.0, 1.0, 0.0] + [0.0] * 4, rank=2)  # I/2
+def test_bloch_draw_matches_the_gram_states(x, rank):
+    # two samples of normals (part, row, column): pure at rank 1, full rank or I/2 at rank 2
+    x = np.array(x).reshape(2, 2, 2, 2)[..., :rank]
+    assume(np.abs(x).max(axis=(1, 2, 3)).min() > 1e-3)
+    r = _gram_bloch(x)
+    assert np.abs(r.T - _bloch_rows(_gram_states(x))).max() <= 1e-15
+    for k in range(2):
+        assert_array_equal(_gram_bloch(x[k:k + 1])[:, 0], r[:, k])
+        assert_array_equal(_bloch_spectra(r[:, k:k + 1])[0], _bloch_spectra(r)[k])

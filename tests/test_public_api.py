@@ -17,6 +17,7 @@ REMOVED = [
     "double_commutator",
     "covariance_check",
     "commutator",
+    "PAULI",
 ]
 
 

@@ -6,7 +6,6 @@ from qmix.groups import Perm, symmetric_group
 from qmix.irreps import tensor_rep
 from qmix.states import (
     ENTROPY_FUNCTIONALS,
-    PAULI,
     DensityMatrix,
     bloch_vector,
     density_spectra,
@@ -25,6 +24,11 @@ from qmix.states import (
 from conftest import commutator, double_commutator
 
 S3 = symmetric_group(3)
+PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def rho_triple(seed, d=2):
@@ -432,3 +436,12 @@ class TestEntropies:
                         - (1 - lam) * entropy(f, sigma))
         # record-keeping only: no assertion on the open regime beyond finiteness
         assert np.isfinite(gaps).all()
+
+
+@pytest.mark.parametrize("bad", [[1 + 1e-8, 0.0, 0.0], [0.0, np.nan, 0.0]])
+def test_bloch_spectra_guard_rejects_vectors_outside_the_ball(bad):
+    from qmix.states import _bloch_spectra
+    r = np.array([[0.0, 0.0, 1.0], bad]).T  # a pure state passes, the second vector fails
+    assert _bloch_spectra(r[:, :1]).tolist() == [[0.0, 1.0]]
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        _bloch_spectra(r)
