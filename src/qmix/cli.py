@@ -71,7 +71,6 @@ from .states import (
     _gram_bloch,
     _gram_states,
     _require,
-    _spectra,
     bloch_vector,
     density_spectra,
     entropy,  # noqa: F401  bench/spans.py wraps it at this binding
@@ -277,7 +276,7 @@ def _cmd_combine(args) -> tuple[dict, str | None]:
         "diagnostics": {
             "trace": float(np.real(np.trace(M))),
             "hermiticity_residual": float(np.abs(M - M.conj().T).max()),
-            "min_eigenvalue": float(_spectra(M)[0]),
+            "min_eigenvalue": float(np.linalg.eigvalsh(M)[0]),
         },
     }
     if d == 2:

@@ -71,6 +71,7 @@ __all__ = [
 _CONSTRAINT_TOL = 1e-10
 _NESTED_COS_TOL = 1e-9
 _SWAP_TOL = 1e-9
+_MIN_WEIGHT = 1e-15  # below it a weight counts as zero and its phase is undefined
 
 _S2 = symmetric_group(2)  # identity, then the swap
 
@@ -515,7 +516,7 @@ def pdelta_from_q(q: QTriple) -> PDelta:
     """
     qa = q.as_array()
     p = np.abs(qa) ** 2
-    if p.min() < 1e-15:
+    if p.min() < _MIN_WEIGHT:
         raise DegenerateWeight(p)
     return PDelta(tuple(p), tuple(float(d) for d in _phase_deltas(qa)))
 
@@ -602,7 +603,7 @@ def delta_from_nested(spec: NestedSpec, p) -> PDelta:
     the nestedness criterion.  Requires all weights nonzero.
     """
     p = np.asarray(p, dtype=float)
-    if p.min() <= 1e-15:
+    if p.min() < _MIN_WEIGHT:
         raise DegenerateWeight(p)
     a, a_prime = nested_params_for_weights(p, spec.ordering)
     _require(np.abs([a - spec.a, a_prime - spec.a_prime]), 1e-9, "spec weights do not reproduce p")
@@ -620,7 +621,7 @@ def nested_from_delta(pd: PDelta) -> NestedSpec:
     fix the +/- bits.  Raises NotNested otherwise.
     """
     p = np.asarray(pd.p, dtype=float)
-    if p.min() <= 1e-15:
+    if p.min() < _MIN_WEIGHT:
         raise DegenerateWeight(p)
     d12, d23, d31 = pd.deltas
     # ordering k puts state k outside; its inner pair's delta is the one that vanishes

@@ -100,7 +100,7 @@ class DensityMatrix:
 
 
 def density_spectra(M) -> np.ndarray:
-    """Ascending eigenvalues of a (..., d, d) stack of density matrices, closed-form at d = 2.
+    """Ascending eigenvalues of a (..., d, d) stack of density matrices.
 
     Raises ValueError unless every matrix is Hermitian within 1e-12, has trace (an ``einsum``,
     cheaper than ``ndarray.trace`` on small stacks) within 1e-10 of one and minimum eigenvalue
@@ -113,19 +113,9 @@ def density_spectra(M) -> np.ndarray:
         tr = np.einsum("...ii->...", M)
     _require(herm, _HERM_TOL, "not Hermitian (residual {:.3e})")
     _require(abs(tr - 1), _TRACE_TOL, "trace is {:.12g}, not 1", quote=tr)
-    lam = _spectra(M)
+    lam = np.linalg.eigvalsh(M)
     _require(-lam[..., 0], -_PSD_TOL, "negative eigenvalue {:.3e}", quote=lam[..., 0])
     return lam
-
-
-def _spectra(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian (..., d, d) stack, read from the lower triangle."""
-    if M.shape[-1] != 2:
-        return np.linalg.eigvalsh(M)
-    a, b = 0.5 * M[..., 0, 0].real, 0.5 * M[..., 1, 1].real  # halves, so a - b cannot overflow
-    with np.errstate(over="ignore"):  # an |m10| past the float range gives -+inf
-        r = np.hypot(a - b, np.abs(M[..., 1, 0]))
-    return np.stack([a + b - r, a + b + r], axis=-1)
 
 
 def _require(residual, tol, error=None, quote=None) -> bool:
@@ -207,6 +197,8 @@ def _gram_states(x: np.ndarray) -> np.ndarray:
 
 def _gram_bloch(x: np.ndarray) -> np.ndarray:
     """(3, ...) Bloch vectors of ``_gram_states(x)``, x (..., 2, 2, r), in real arithmetic.
+
+    The stack axes come out reversed: x (N, n, 2, 2, r) gives (3, n, N).
 
     With G's rows g0, g1: r = (2 Re g0.conj(g1), -2 Im g0.conj(g1), |g0|^2 - |g1|^2) / Tr G G^dag.
     """
@@ -304,7 +296,7 @@ def get_functional(name: str) -> EntropyFunctional:
 
 def entropy(f: EntropyFunctional, rho: DensityMatrix) -> float:
     """Apply ``f`` to the spectrum of ``rho``."""
-    return float(f(_spectra(rho.mat)))
+    return float(f(np.linalg.eigvalsh(rho.mat)))
 
 
 def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
@@ -316,6 +308,6 @@ def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
 
 
 def _bloch_rows(M: np.ndarray) -> np.ndarray:
-    """(..., 3) Bloch vectors Tr(M sigma) of a (..., 2, 2) qubit stack, read off the entries."""
+    """(3, ...) Bloch vectors Tr(M sigma) of a (..., 2, 2) qubit stack, read off the entries."""
     m01, m10 = M[..., 0, 1], M[..., 1, 0]
-    return np.stack([(m01 + m10).real, (m10 - m01).imag, (M[..., 0, 0] - M[..., 1, 1]).real], -1)
+    return np.stack([(m01 + m10).real, (m10 - m01).imag, (M[..., 0, 0] - M[..., 1, 1]).real])

@@ -17,11 +17,12 @@ import qmix.cli as cli
 import qmix.linkage as linkage
 from qmix._serial import pairs
 from qmix.cli import main
-from qmix.combine import _balanced_q_rows, combine2, combine3_closed, random_qtriple
+from qmix.combine import (QTriple, _balanced_q_rows, combine2, combine3_bruteforce, combine3_closed,
+                          random_qtriple, z_from_q)
 from qmix.irreps import s3_coeffs_from_phases
 from qmix.linkage import write_orbit_csv
 from qmix.states import (DensityMatrix, EntropyFunctional, _bloch_rows, _gram_states, bloch_vector,
-                         random_density)
+                         entropy, get_functional, random_density)
 
 
 def write_json(tmp_path, name, obj):
@@ -410,7 +411,6 @@ class TestOrbit:
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
         assert header[-3:] == ["bloch_x", "bloch_y", "bloch_z"]
-        from qmix.combine import QTriple
         rhos = [DensityMatrix.from_bloch(1, 0, 0), DensityMatrix.from_bloch(0, 1, 0),
                 DensityMatrix.from_bloch(0, 0, 1)]
         rows = [line.split(",") for line in lines[1:]]
@@ -443,18 +443,21 @@ class TestOrbit:
         assert not (tmp_path / "t.csv").exists()
 
     def test_tiny_weight_traces_and_closes(self, tmp_path, capsys):
-        # a bar of 1e-8: the stable circle intersection resolves it
-        cfg = write_json(tmp_path, "c.json", {"p": [0.44, 0.56, 1e-16]})
-        out = tmp_path / "t.csv"
-        rc, doc = run(capsys, "orbit", "--config", cfg, "--steps", "1200", "--out", str(out))
-        assert rc == 0
-        rows = np.array([[float(v) for v in line.split(",")[2:8]]
-                         for line in out.read_text().splitlines()[1:]])
-        assert len(rows) == report_of(doc)["rows"] > 0
-        q = rows[:, 0::2] + 1j * rows[:, 1::2]
-        assert np.abs(q.sum(axis=1) - 1).max() <= 1e-10
-        assert np.abs((np.abs(q) ** 2).sum(axis=1) - 1).max() <= 1e-10
-        assert np.abs(np.abs(q) ** 2 - [0.44, 0.56, 1e-16]).max() <= 1e-10
+        # a bar of 1e-8: the stable circle intersection resolves it; so do two small bars beside
+        # a bar of exactly 1, unequal (the crank moves the shortest) and equal
+        for p in ([0.44, 0.56, 1e-16], [1.0, 1.1227030650458948e-17, 4.1602002640974797e-17],
+                  [1.0, 1e-17, 1e-17]):
+            cfg = write_json(tmp_path, "c.json", {"p": p})
+            out = tmp_path / "t.csv"
+            rc, doc = run(capsys, "orbit", "--config", cfg, "--steps", "1200", "--out", str(out))
+            assert rc == 0, p
+            rows = np.array([[float(v) for v in line.split(",")[2:8]]
+                             for line in out.read_text().splitlines()[1:]])
+            assert len(rows) == report_of(doc)["rows"] > 0, p
+            q = rows[:, 0::2] + 1j * rows[:, 1::2]
+            assert np.abs(q.sum(axis=1) - 1).max() <= 1e-10, p
+            assert np.abs((np.abs(q) ** 2).sum(axis=1) - 1).max() <= 1e-10, p
+            assert np.abs(np.abs(q) ** 2 - p).max() <= 1e-10, p
 
     def test_unmet_gap_bound_exits_2_without_a_csv(self, tmp_path, capsys, monkeypatch):
         # a circle intersection that mirrors its first row leaves a jump no bisection closes
@@ -553,13 +556,32 @@ class TestEpiScan:
         assert strip_timing(doc1) == strip_timing(doc2)
 
     def test_worker_count_invariant(self, capsys):
-        # three blocks, so --workers 3 runs a real process pool
-        rc1, doc1 = run(capsys, "epi-scan", "--n", "3", "--d", "2",
-                        "--samples", "700", "--seed", "3", "--workers", "1")
-        rc2, doc2 = run(capsys, "epi-scan", "--n", "3", "--d", "2",
-                        "--samples", "700", "--seed", "3", "--workers", "3")
-        assert rc1 == rc2 == 0
-        assert strip_timing(doc1) == strip_timing(doc2)
+        # three or four blocks, so --workers 3 runs a real process pool; epi-scan caps the workers
+        # at the CPU count, so on fewer than three CPUs it runs as many as there are.  d = 2 takes
+        # the Bloch route, d = 3 the column-sum products and d = 4 numpy's matmul.
+        for n, d, samples, seed in ((3, 2, 700, 3), (2, 2, 1000, 5), (3, 2, 1000, 5),
+                                    (3, 3, 1000, 5), (3, 4, 1000, 5)):
+            docs = []
+            for workers in (1, 2, 3):
+                rc, doc = run(capsys, "epi-scan", "--n", str(n), "--d", str(d), "--samples",
+                              str(samples), "--seed", str(seed), "--workers", str(workers))
+                assert rc == 0, (n, d, workers)
+                docs.append(strip_timing(doc))
+            assert docs[1] == docs[0] and docs[2] == docs[0], f"n={n} d={d}: reports differ"
+
+    def test_argmin_gap_rebuilds_through_the_bruteforce_channel(self, capsys):
+        # the argmin's states and closed q, mixed by the permutation channel instead of the Bloch
+        # form the scan ran, give min_gap back
+        rc, doc = run(capsys, "epi-scan", "--n", "3", "--samples", "300")
+        assert rc == 0
+        rep = report_of(doc)
+        q = np.array([complex(re, im) for re, im in rep["argmin"]["q"]])
+        assert abs(q.sum() - 1) <= 1e-10 and abs((np.abs(q) ** 2).sum() - 1) <= 1e-10, q
+        rhos = [DensityMatrix.from_json(m) for m in rep["argmin"]["states"]]
+        qt, f = QTriple(*q), get_functional("von-neumann")
+        gap = entropy(f, combine3_bruteforce(*rhos, z_from_q(qt))) - sum(
+            w * entropy(f, rho) for w, rho in zip(qt.weights(), rhos))
+        assert abs(gap - rep["min_gap"]) <= 1e-12, (gap, rep["min_gap"])
 
     def test_ternary_scan_records_without_asserting(self, capsys):
         rc, doc = run(capsys, "epi-scan", "--n", "3", "--d", "3",
@@ -597,7 +619,7 @@ class TestEpiScan:
             rng = np.random.default_rng(np.random.SeedSequence((9, 0)))
             expected = _gram_states(rng.normal(size=(B, n * 2 * d * d)).reshape(B, n, 2, d, d))
             if d == 2:
-                assert np.abs(states.T - _bloch_rows(expected)).max() <= 1e-15
+                assert np.abs(states - _bloch_rows(np.moveaxis(expected, 1, 0))).max() <= 1e-15
             else:
                 np.testing.assert_array_equal(states, expected)
             whole_states, whole_params = cli._draw(n, d, 9, 1, 0, B)
@@ -994,8 +1016,9 @@ class TestDispatch:
         assert "synth" in res.stdout and "epi-scan" in res.stdout, res.stderr
 
     def test_python_dash_m(self):
-        res = subprocess.run([sys.executable, "-m", "qmix", "--help"], capture_output=True,
-                             text=True, env=source_env())
+        # under -W error, so a warning on a fresh interpreter's import fails too
+        res = subprocess.run([sys.executable, "-W", "error", "-m", "qmix", "--help"],
+                             capture_output=True, text=True, env=source_env())
         assert res.returncode == 0, res.stderr
         assert "synth" in res.stdout and "epi-scan" in res.stdout, res.stderr
 

@@ -730,18 +730,19 @@ class TestNested:
         assert np.abs(direct - nested).max() < 1e-10
 
     def test_nested_from_delta_recovers(self):
-        p = (0.45, 0.25, 0.30)
-        for ordering in (1, 2, 3):
-            a, ap = nested_params_for_weights(p, ordering)
-            for s in (0, 1):
-                for sp in (0, 1):
-                    spec = NestedSpec(ordering, a, ap, s, sp)
-                    pd = delta_from_nested(spec, p)
-                    back = nested_from_delta(pd)
-                    assert back.ordering == ordering
-                    assert back.s == s and back.s_prime == sp
-                    assert abs(back.a - a) < 1e-10
-                    assert abs(back.a_prime - ap) < 1e-10
+        # the second triple's last weight is exactly the smallest that counts as nonzero
+        for p in ((0.45, 0.25, 0.30), (0.5, 0.5 - 1e-15, 1e-15)):
+            for ordering in (1, 2, 3):
+                a, ap = nested_params_for_weights(p, ordering)
+                for s in (0, 1):
+                    for sp in (0, 1):
+                        spec = NestedSpec(ordering, a, ap, s, sp)
+                        pd = delta_from_nested(spec, p)
+                        back = nested_from_delta(pd)
+                        assert back.ordering == ordering, (p, spec)
+                        assert back.s == s and back.s_prime == sp, (p, spec)
+                        assert abs(back.a - a) < 1e-10, (p, spec)
+                        assert abs(back.a_prime - ap) < 1e-10, (p, spec)
 
     def test_not_nested_detected(self):
         # generic manifold points have all three cosines bounded away from 0

@@ -123,15 +123,16 @@ def test_bloch_forms_match_the_matrix_closed_forms(data, count):
         drawn = [data.draw(samples(2)) for _ in range(count)]
     rhos = np.array([r for r, _ in drawn])  # (N, 3, 2, 2)
     q = np.array([q for _, q in drawn])
-    r = _bloch_rows(rhos).T  # (3, 3, N)
+    by_state = np.moveaxis(rhos, 1, 0)  # (3, N, 2, 2)
+    r = _bloch_rows(by_state)  # (3, 3, N)
     out = _closed_bloch(r, q)
-    matrix = combine3_closed_stacked(*np.moveaxis(rhos, 1, 0), q)
-    assert np.abs(out.T - _bloch_rows(matrix)).max() <= 1e-15
+    matrix = combine3_closed_stacked(*by_state, q)
+    assert np.abs(out - _bloch_rows(matrix)).max() <= 1e-15
     lam = np.linspace(0, 1, len(drawn))
     sign = np.where(np.arange(len(drawn)) % 2, -1, 1)
     two = _binary_bloch(r[:, :2], lam, sign)
     matrix = combine2_stacked(rhos[:, 0], rhos[:, 1], lam, sign)
-    assert np.abs(two.T - _bloch_rows(matrix)).max() <= 1e-15
+    assert np.abs(two - _bloch_rows(matrix)).max() <= 1e-15
     for k in range(len(drawn)):
         s = slice(k, k + 1)
         assert_array_equal(_closed_bloch(r[..., s], q[s])[:, 0], out[:, k])
@@ -147,7 +148,7 @@ def test_bloch_draw_matches_the_gram_states(x, rank):
     x = np.array(x).reshape(2, 2, 2, 2)[..., :rank]
     assume(np.abs(x).max(axis=(1, 2, 3)).min() > 1e-3)
     r = _gram_bloch(x)
-    assert np.abs(r.T - _bloch_rows(_gram_states(x))).max() <= 1e-15
+    assert np.abs(r - _bloch_rows(_gram_states(x))).max() <= 1e-15
     for k in range(2):
         assert_array_equal(_gram_bloch(x[k:k + 1])[:, 0], r[:, k])
         assert_array_equal(_bloch_spectra(r[:, k:k + 1])[0], _bloch_spectra(r)[k])

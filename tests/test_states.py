@@ -18,7 +18,6 @@ from qmix.states import (
     _gram_states,
     _matmul,
     _require,
-    _spectra,
 )
 
 from conftest import commutator, double_commutator
@@ -81,8 +80,7 @@ class TestDensityMatrix:
         M = _gram_states(rng.normal(size=(2000, 2, 2, 2)))
         parts = M.view(float)
         parts += np.spacing(np.abs(parts)) * rng.integers(-1, 2, size=parts.shape)
-        traces = np.stack([np.trace(M @ PAULI[ax], axis1=-2, axis2=-1).real for ax in "xyz"],
-                          axis=-1)
+        traces = np.stack([np.trace(M @ PAULI[ax], axis1=-2, axis2=-1).real for ax in "xyz"])
         assert not np.array_equal(M, M.conj().swapaxes(-1, -2))
         assert_array_equal(_bloch_rows(M).view(np.uint64), traces.view(np.uint64))
 
@@ -94,17 +92,12 @@ class TestDensityMatrix:
 
 class TestDensitySpectra:
     def test_returns_each_matrix_spectrum(self):
-        mats = np.array([r.mat for r in rho_triple(3, d=3)])
-        lam = density_spectra(mats)
-        assert lam.shape == (3, 3)
-        for row, M in zip(lam, mats):
-            assert_array_equal(row, np.linalg.eigvalsh(M))
-        # qubits take the closed form, which agrees with eigvalsh to rounding
-        mats = np.array([r.mat for r in rho_triple(3)])
-        lam = density_spectra(mats)
-        assert lam.shape == (3, 2)
-        for row, M in zip(lam, mats):
-            assert np.abs(row - np.linalg.eigvalsh(M)).max() <= 2e-15
+        for d in (2, 3):
+            mats = np.array([r.mat for r in rho_triple(3, d=d)])
+            lam = density_spectra(mats)
+            assert lam.shape == (3, d)
+            for row, M in zip(lam, mats):
+                assert_array_equal(row, np.linalg.eigvalsh(M))
 
     @pytest.mark.parametrize("bad, message", [
         (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
@@ -133,30 +126,6 @@ class TestDensitySpectra:
 
     def test_empty_stack(self):
         assert density_spectra(np.empty((0, 2, 2), complex)).shape == (0, 2)
-
-    @pytest.mark.parametrize("kind", ["random", "pure", "maximally-mixed", "diagonal",
-                                      "near-degenerate", "tiny-scale",
-                                      "upper-triangle-ignored"])
-    def test_qubit_closed_form_matches_eigvalsh(self, kind):
-        rng = np.random.default_rng(17)
-        mats = {
-            "random": lambda: np.array([random_density(2, seed=rng).mat for _ in range(500)]),
-            "pure": lambda: np.array([random_density(2, rank=1, seed=rng).mat
-                                      for _ in range(500)]),
-            "maximally-mixed": lambda: np.eye(2, dtype=complex)[None] / 2,
-            "diagonal": lambda: np.array([np.diag([p, 1 - p]).astype(complex)
-                                          for p in rng.uniform(size=500)]),
-            "near-degenerate": lambda: np.eye(2) / 2 + np.array([
-                1e-9 * random_density(2, seed=rng).mat for _ in range(500)]),
-            "tiny-scale": lambda: 1e-300 * np.array([random_density(2, seed=rng).mat
-                                                     for _ in range(500)]),
-            # as eigvalsh, only the lower triangle is read
-            "upper-triangle-ignored": lambda: np.array([
-                random_density(2, seed=rng).mat * [[1, 0], [1, 1]] + [[0, 5 + 3j], [0, 0]]
-                for _ in range(500)]),
-        }[kind]()
-        scale = np.abs(mats).max()
-        assert np.abs(_spectra(mats) - np.linalg.eigvalsh(mats)).max() <= 2e-15 * scale
 
 
 class TestRequire:
